@@ -29,8 +29,8 @@ Commands
     Run the real-numerics headline checks (NPB EP/CG class S official
     verification, HPL residual, FFT parity, Sedov exponent).
 ``bench [--quick] [--tier engine|ecm|grid|all] [--out PATH]``
-    Time the prediction tiers (cold seed scheduler, event-driven fast
-    path, batched SoA engine, warm schedule cache, parallel sweep,
+    Time the prediction tiers (cold seed scheduler, per-point
+    scheduling, batched SoA engine, warm schedule cache, parallel sweep,
     analytical ECM evaluation, and the ``grid`` tier's >=512-point
     mixed-tier sweep with sharded batches and vectorized ECM) over the
     Fig. 1/2 kernel set and write ``BENCH_engine.json``; the full run

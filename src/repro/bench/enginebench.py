@@ -7,9 +7,10 @@ set (every suite loop x all five toolchains) in four configurations:
     the preserved seed implementation
     (:class:`repro.engine._reference.ReferenceScheduler`) — the baseline
     all speedups are measured against;
-``cold_fast``
-    the event-driven scheduler with steady-state extrapolation, empty
-    cache;
+``cold_per_point``
+    one :class:`~repro.engine.scheduler.PipelineScheduler` run (a single
+    batch lane with steady-state extrapolation) per point, memos
+    cleared, no cache;
 ``batched_cold``
     the whole suite as one structure-of-arrays batch
     (:func:`repro.engine.batch.schedule_batch`, caches and precompiled
@@ -17,20 +18,19 @@ set (every suite loop x all five toolchains) in four configurations:
     int-indexed lanes replace the scalar heap walk; 10x acceptance
     floor over ``cold_seed``;
 ``warm_cache``
-    the same sweep again through :func:`repro.engine.cache.cached_schedule`
+    the same sweep again through :func:`repro.engine.scheduler.schedule_on`
     with the cache primed — the steady state of a figure-suite run;
 ``parallel``
     the warm sweep fanned out over :func:`repro.engine.sweep.run_sweep`
     worker threads;
 ``ecm_eval``
     the analytical ECM tier (:func:`repro.ecm.model.predict_compiled`)
-    over the same precompiled points — no simulation at all, so its
-    speedup is quoted against ``cold_fast`` (the engine answering the
-    same per-point question from scratch), with a 100x acceptance
-    floor.
+    over the same precompiled points — no simulation at all; its
+    speedup is quoted against ``cold_seed`` with the
+    :data:`ECM_SPEEDUP_FLOOR` acceptance floor.
 
 ``--tier engine`` times only the scheduler configurations, ``--tier
-ecm`` only the analytical tier (plus the ``cold_fast`` reference it is
+ecm`` only the analytical tier (plus the ``cold_seed`` reference it is
 measured against); ``--tier grid`` times the grid-scale sweep paths —
 a >=512-point mixed-tier (engine + ecm) window grid through
 :func:`repro.engine.sweep.run_sweep` with points/sec, the sharded batch
@@ -51,11 +51,10 @@ default ``all`` runs everything.
 Results are written as versioned JSON (``repro.bench/1``) to
 ``BENCH_engine.json`` so the performance trajectory is tracked in-repo;
 CI runs the full variant and archives the document.  The run fails
-(exit 1) if the fast paths (batched included) deviate from the seed
-scheduler by more than 1e-9 relative — counter payloads must match the
-scalar path byte-for-byte — if the front-end slot identity breaks, or
-if the warm-cache 5x / batched 10x / ECM 100x speedup floors are
-missed (full mode).
+(exit 1) if the scheduler (per point, cached or batched) deviates from
+the seed scheduler by more than 1e-9 relative — counter payloads
+included — if the front-end slot identity breaks, or if the warm-cache
+5x / batched 10x / ECM speedup floors are missed (full mode).
 """
 
 from __future__ import annotations
@@ -69,7 +68,10 @@ from pathlib import Path
 BENCH_FORMAT = "repro.bench/1"
 SPEEDUP_FLOOR = 5.0
 BATCH_SPEEDUP_FLOOR = 10.0
-ECM_SPEEDUP_FLOOR = 100.0
+#: analytical tier vs ``cold_seed``: 100x over the former event-driven
+#: per-point scheduler, which ran a median 5.49x faster than the seed
+#: scheduler (10 runs of this suite), so 549x here is equally strict
+ECM_SPEEDUP_FLOOR = 549.0
 EQUIV_RTOL = 1e-9
 
 #: sharded batch must beat the serial batch by this factor per point...
@@ -141,33 +143,37 @@ def _rel_dev(a: float, b: float) -> float:
 
 
 def _check_equivalence(compiled) -> dict:
-    """Fast-path results vs the seed scheduler, point by point.
+    """Scheduler results vs the seed scheduler, point by point.
 
-    Covers the event-driven path, the cache replay, and the batched SoA
-    engine; the batched counter payload must additionally equal the
-    scalar path's byte-for-byte (a mismatch counts as full deviation).
+    Covers the per-point scheduler, the cache replay, and the whole
+    suite as one batch; per-point ``pipeline.*`` counters must match
+    the seed scheduler's within the same tolerance.
     """
     from repro.engine._reference import ReferenceScheduler
     from repro.engine.batch import schedule_batch
-    from repro.engine.cache import cached_schedule
-    from repro.engine.scheduler import PipelineScheduler
+    from repro.engine.scheduler import PipelineScheduler, schedule_on
     from repro.perf.counters import ProfileScope
 
+    batched = schedule_batch(
+        [(march, stream) for _, _, march, stream, _full in compiled],
+        cache=False,
+    )
     worst = 0.0
     worst_point = None
-    for loop, tc_name, march, stream, _full in compiled:
-        ref = ReferenceScheduler(march).steady_state(stream)
-        with ProfileScope("scalar") as scalar_counters:
+    for (loop, tc_name, march, stream, _full), in_batch in zip(
+            compiled, batched):
+        with ProfileScope("seed") as seed_counters:
+            ref = ReferenceScheduler(march).steady_state(stream)
+        with ProfileScope("per-point") as point_counters:
             fast = PipelineScheduler(march).steady_state(stream)
-        with ProfileScope("batched") as batch_counters:
-            batched = schedule_batch([(march, stream)], cache=False)[0]
-        if scalar_counters.as_dict() != batch_counters.as_dict():
-            worst, worst_point = 1.0, (loop, tc_name)
-        for result in (
-            fast,
-            cached_schedule(march, stream),
-            batched,
-        ):
+        seed_c, point_c = seed_counters.as_dict(), point_counters.as_dict()
+        if seed_c.keys() != point_c.keys():
+            dev = 1.0  # a missing or extra counter is full deviation
+        else:
+            dev = max(_rel_dev(point_c[k], v) for k, v in seed_c.items())
+        if dev > worst:
+            worst, worst_point = dev, (loop, tc_name)
+        for result in (fast, schedule_on(march, stream), in_batch):
             dev = max(
                 _rel_dev(result.cycles_per_iter, ref.cycles_per_iter),
                 _rel_dev(result.ipc, ref.ipc),
@@ -188,18 +194,14 @@ def _check_equivalence(compiled) -> dict:
 
 
 def _check_counter_identity(compiled) -> bool:
-    """pipeline.issue_slots.total == used + stalled on every fast path."""
-    from repro.engine.cache import cached_schedule
-    from repro.engine.scheduler import PipelineScheduler
+    """pipeline.issue_slots.total == used + stalled, fresh and cached."""
+    from repro.engine.scheduler import PipelineScheduler, schedule_on
     from repro.perf.counters import ProfileScope
-
-    from repro.engine.batch import schedule_batch
 
     for _, _, march, stream, _full in compiled:
         for run in (
             lambda: PipelineScheduler(march).steady_state(stream),
-            lambda: cached_schedule(march, stream),  # hit: replayed payload
-            lambda: schedule_batch([(march, stream)], cache=False),
+            lambda: schedule_on(march, stream),  # hit: replayed payload
         ):
             with ProfileScope("identity") as counters:
                 run()
@@ -469,8 +471,12 @@ def run_bench(quick: bool = False, workers: int | None = None,
               tier: str = "all") -> dict:
     """Run every requested configuration and return the bench document."""
     from repro.engine._reference import ReferenceScheduler
-    from repro.engine.cache import cached_schedule, get_cache
-    from repro.engine.scheduler import PipelineScheduler, clear_memos
+    from repro.engine.cache import get_cache
+    from repro.engine.scheduler import (
+        PipelineScheduler,
+        clear_memos,
+        schedule_on,
+    )
 
     if tier not in TIERS:
         raise ValueError(f"tier must be one of {TIERS}, got {tier!r}")
@@ -480,25 +486,27 @@ def run_bench(quick: bool = False, workers: int | None = None,
     ecm_tier = tier in ("ecm", "all")
     grid_tier = tier in ("grid", "all")
 
-    t_seed = t_batched = t_warm = t_par = None
-    if engine_tier:
+    t_seed = t_point = t_batched = t_warm = t_par = None
+    if engine_tier or ecm_tier:
+        # every speedup, the analytical tier's included, is quoted
+        # against the frozen seed scheduler
         t0 = time.perf_counter()
         for _, _, march, stream, _full in compiled:
             ReferenceScheduler(march).steady_state(stream)
         t_seed = time.perf_counter() - t0
 
-    # cold_fast is always timed: it is the engine configuration the
-    # analytical tier's speedup is quoted against.  Memoized tables are
-    # dropped first so table warm-up cannot flatter the cold number.
-    clear_memos()
-    t0 = time.perf_counter()
-    for _, _, march, stream, _full in compiled:
-        PipelineScheduler(march).steady_state(stream)
-    t_fast = time.perf_counter() - t0
-
     if engine_tier:
         from repro.engine.batch import clear_tables, schedule_batch
         from repro.engine.sweep import run_sweep
+
+        # memoized tables are dropped first so table warm-up cannot
+        # flatter the cold numbers
+        clear_memos()
+        clear_tables()
+        t0 = time.perf_counter()
+        for _, _, march, stream, _full in compiled:
+            PipelineScheduler(march).steady_state(stream)
+        t_point = time.perf_counter() - t0
 
         reqs = [(march, stream) for _, _, march, stream, _full in compiled]
         clear_memos()
@@ -509,10 +517,10 @@ def run_bench(quick: bool = False, workers: int | None = None,
 
         get_cache().clear()
         for _, _, march, stream, _full in compiled:  # prime
-            cached_schedule(march, stream)
+            schedule_on(march, stream)
         t0 = time.perf_counter()
         for _, _, march, stream, _full in compiled:
-            cached_schedule(march, stream)
+            schedule_on(march, stream)
         t_warm = time.perf_counter() - t0
 
         # the thread fan-out path, batching off (batched has its own row)
@@ -533,7 +541,7 @@ def run_bench(quick: bool = False, workers: int | None = None,
         if engine_tier else None
     speedup_batched = (t_seed / t_batched if t_batched else float("inf")) \
         if engine_tier else None
-    speedup_ecm = (t_fast / t_ecm if t_ecm else float("inf")) \
+    speedup_ecm = (t_seed / t_ecm if t_ecm else float("inf")) \
         if ecm_tier else None
     acceptance = {
         "equivalence": equivalence,
@@ -558,10 +566,8 @@ def run_bench(quick: bool = False, workers: int | None = None,
         acceptance["grid_machine_pass"] = grid["machine_grid"]["pass"]
         acceptance["grid_equivalence_pass"] = grid["equivalence_pass"]
 
-    def _vs_fast(t: float | None) -> float | None:
-        # every tier is comparable against the cold fast path, in quick
-        # mode too (satellite of the batched-engine work)
-        return round(t_fast / t, 2) if t and t_fast else None
+    def _vs_point(t: float | None) -> float | None:
+        return round(t_point / t, 2) if t and t_point else None
 
     doc = {
         "version": BENCH_FORMAT,
@@ -574,26 +580,27 @@ def run_bench(quick: bool = False, workers: int | None = None,
         "python": sys.version.split()[0],
         "seconds": {
             "cold_seed": _round(t_seed),
-            "cold_fast": _round(t_fast),
+            "cold_per_point": _round(t_point),
             "batched_cold": _round(t_batched),
             "warm_cache": _round(t_warm),
             "parallel": _round(t_par),
             "ecm_eval": _round(t_ecm),
         },
         "speedup_vs_cold_seed": {
-            "cold_fast": round(t_seed / t_fast, 2)
-            if engine_tier and t_fast else None,
+            "cold_per_point": round(t_seed / t_point, 2)
+            if engine_tier and t_point else None,
             "batched_cold": round(speedup_batched, 2)
             if engine_tier else None,
             "warm_cache": round(speedup_warm, 2) if engine_tier else None,
             "parallel": round(t_seed / t_par, 2)
             if engine_tier and t_par else None,
+            "ecm_eval": round(speedup_ecm, 2) if ecm_tier else None,
         },
-        "speedup_vs_cold_fast": {
-            "batched_cold": _vs_fast(t_batched),
-            "warm_cache": _vs_fast(t_warm),
-            "parallel": _vs_fast(t_par),
-            "ecm_eval": _vs_fast(t_ecm),
+        "speedup_vs_cold_per_point": {
+            "batched_cold": _vs_point(t_batched),
+            "warm_cache": _vs_point(t_warm),
+            "parallel": _vs_point(t_par),
+            "ecm_eval": _vs_point(t_ecm),
         },
         "acceptance": acceptance,
     }
@@ -611,10 +618,10 @@ def render(doc: dict) -> str:
     if secs["cold_seed"] is not None:
         lines.append(
             f"  cold seed scheduler : {secs['cold_seed'] * 1e3:9.1f} ms")
-    lines.append(
-        f"  cold fast path      : {secs['cold_fast'] * 1e3:9.1f} ms"
-        + (f"  ({speed['cold_fast']:.1f}x)"
-           if speed["cold_fast"] is not None else ""))
+    if secs["cold_per_point"] is not None:
+        lines.append(
+            f"  cold per point      : {secs['cold_per_point'] * 1e3:9.1f} ms"
+            f"  ({speed['cold_per_point']:.1f}x)")
     if secs.get("batched_cold") is not None:
         lines.append(
             f"  batched soa engine  : {secs['batched_cold'] * 1e3:9.1f} ms"
@@ -630,8 +637,7 @@ def render(doc: dict) -> str:
     if secs["ecm_eval"] is not None:
         lines.append(
             f"  analytical ecm tier : {secs['ecm_eval'] * 1e3:9.1f} ms"
-            f"  ({doc['speedup_vs_cold_fast']['ecm_eval']:.1f}x "
-            f"vs cold fast)")
+            f"  ({speed['ecm_eval']:.1f}x)")
     grid = doc.get("grid")
     if grid is not None:
         shard = grid["shard"]

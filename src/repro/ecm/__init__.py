@@ -4,7 +4,7 @@ The repository predicts kernel runtimes at three speeds:
 
 1. **full simulation** — ``PipelineScheduler(march, extrapolate=False)``
    grinds through every issue slot (the golden reference);
-2. **fast engine** — the event-driven scheduler with steady-state
+2. **fast engine** — the batch-lane scheduler with steady-state
    period detection plus the schedule cache;
 3. **this package** — no simulation at all: closed-form ``T_comp`` from
    the instruction mix against the port/issue/latency tables

@@ -35,10 +35,10 @@ cycles-per-iter from below and ~9% from above across the whole catalog,
 which is what makes the reconciliation pass in
 :mod:`repro.validate.reconcile` meaningful.
 
-Dependence resolution intentionally reuses
-:meth:`repro.engine.scheduler.PipelineScheduler._static_dataflow` so the
-analytical model and the simulator can never drift apart on *which*
-edges exist — they may only disagree on the cycles those edges cost.
+Dependence resolution intentionally reuses the simulator's memoized
+dataflow (``repro.engine.scheduler._dataflow_of``) so the analytical
+model and the simulator can never drift apart on *which* edges exist —
+they may only disagree on the cycles those edges cost.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.engine.scheduler import PipelineScheduler
+from repro.engine.scheduler import _dataflow_of
 from repro.machine.isa import InstructionStream, Pipe
 from repro.machine.microarch import Microarch
 
@@ -165,7 +165,7 @@ def _stream_base(stream: InstructionStream, march: Microarch) -> _StreamBase:
         raise ValueError("cannot analyze an empty instruction stream")
     n = len(body)
     timings = _resolved_timings(stream, march)
-    deps, _consumers = PipelineScheduler._static_dataflow(body)
+    deps, _consumers = _dataflow_of(tuple(body))
 
     # --- port pressure: greedy least-loaded placement, most-constrained
     # instructions first (an op locked to one pipe must land there; ops

@@ -4,13 +4,15 @@ single-kernel execution, and the OpenMP-like threading model.
 * :mod:`repro.engine.scheduler` — replays an abstract instruction stream
   against a :class:`~repro.machine.microarch.Microarch` and reports
   steady-state cycles/iteration (the quantity behind every
-  "cycles per element" number in the paper); event-driven with
-  steady-state period extrapolation.
-* :mod:`repro.engine.batch` — batched structure-of-arrays scheduling:
-  many (march, stream, window) points deduplicated and simulated as one
-  int-indexed array program, bit-identical to the scalar path
-  (``schedule_batch``); sweeps of ≥ ``BATCH_MIN_POINTS`` engine points
-  ride on it automatically.
+  "cycles per element" number in the paper): the public scheduling API
+  (``PipelineScheduler``, ``schedule_on``), result types and observer
+  hooks.
+* :mod:`repro.engine.batch` — the one simulator: event-driven lanes
+  with steady-state period extrapolation, many (march, stream, window)
+  points deduplicated and stepped as one int-indexed array program
+  (``schedule_batch``).  ``PipelineScheduler`` runs one lane,
+  ``schedule_on`` is a one-request batch and every ``run_sweep`` rides
+  on it.
 * :mod:`repro.engine.cache` — content-addressed schedule cache
   (in-process LRU plus an opt-in on-disk JSON layer) keyed on march and
   stream fingerprints.

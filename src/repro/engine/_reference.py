@@ -4,14 +4,17 @@ This module preserves the original per-cycle implementation of
 :class:`~repro.engine.scheduler.PipelineScheduler` exactly as it shipped:
 a full ready-scan of the out-of-order window on *every* simulated cycle,
 with an explicit ``_next_event`` jump for idle stretches.  The production
-scheduler has since been rewritten as an event-driven core with
-steady-state period detection (see ``scheduler.py``); this copy is kept
-for two jobs:
+scheduler has since been rewritten as event-driven batch lanes with
+steady-state period detection (see ``batch.py``); this copy is kept
+for three jobs:
 
 * the golden-equivalence suite (``tests/engine/test_golden_equivalence.py``)
   proves the fast paths reproduce these results to within 1e-9 relative;
 * ``benchmarks/engine_bench.py`` uses it as the "cold seed" baseline that
-  speedups in ``BENCH_engine.json`` are measured against.
+  speedups in ``BENCH_engine.json`` are measured against;
+* the naive baseline of ``repro serve-bench`` answers with it, so the
+  served responses are checked against an oracle that does not share
+  the engine under test.
 
 Do not add features here — the whole point is that this file does not
 move.
@@ -54,7 +57,7 @@ class ReferenceScheduler:
         total = n_body * n_iters
 
         deps: list[tuple[int, ...]] = self._build_deps(body, n_iters)
-        timings = [self._timing_of(ins) for ins in body]
+        timings = [self._resolve_timing(ins) for ins in body]
 
         issue_width = self.march.issue_width
         completion = [float("inf")] * total
@@ -83,7 +86,7 @@ class ReferenceScheduler:
                 lat, rtput, pipes = timings[d % n_body]
                 ready = max((completion[s] for s in deps[d]), default=0.0)
                 if ready <= cycle:
-                    pipe = self._best_pipe(pipes, pipe_free, cycle)
+                    pipe = self._free_pipe(pipes, pipe_free, cycle)
                     if pipe is not None:
                         issued[d] = True
                         completion[d] = cycle + lat
@@ -160,7 +163,7 @@ class ReferenceScheduler:
             emit(f"pipeline.instr_mix.{op.value}", float(count * n_iters))
 
     # ------------------------------------------------------------------
-    def _timing_of(
+    def _resolve_timing(
         self, ins: Instruction
     ) -> tuple[float, float, tuple[Pipe, ...]]:
         t = self.march.timing(ins.op)
@@ -171,7 +174,7 @@ class ReferenceScheduler:
         return (lat, rtp, _canon_pipes(t.pipes))
 
     @staticmethod
-    def _best_pipe(
+    def _free_pipe(
         pipes: tuple[Pipe, ...], pipe_free: dict[Pipe, float], cycle: float
     ) -> Pipe | None:
         best: Pipe | None = None

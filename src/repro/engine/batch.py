@@ -1,49 +1,53 @@
-"""Batched structure-of-arrays scheduling engine.
+"""Batched structure-of-arrays scheduling engine: the one simulator.
 
-Sweeping the paper's figures means scheduling many independent
-(stream, toolchain, machine) points; the event-driven scheduler
-(:mod:`repro.engine.scheduler`) simulates them one at a time through
-enum-keyed dicts and a single ready heap.  This module schedules a whole
-batch as one array program:
+Every schedule in the reproduction runs here.  The lane simulator
+(:class:`_Lane`) implements the issue model stated in
+:mod:`repro.engine.scheduler`; :class:`~repro.engine.scheduler.PipelineScheduler`
+runs one lane, :func:`~repro.engine.scheduler.schedule_on` is a
+one-request :func:`schedule_batch`, and sweeps schedule whole batches:
 
 * **precompiled int-indexed tables** — per (march, body) the latencies,
   reciprocal throughputs, pipe-candidate sets and dataflow edges are
   resolved once into flat integer-indexed lists (:class:`_StreamTables`,
   LRU-cached), so the inner loop never hashes an enum or re-derives a
   dependency edge;
+* **event-driven lanes** — ready/waiting heaps plus per-pipe free times
+  replace a per-cycle window scan, and idle cycles are skipped by a
+  stall-horizon jump;
+* **steady-state period detection** — once the relative schedule state
+  (issue offsets and pipe backlogs modulo the current cycle) repeats
+  between iterations, the lane fast-forwards whole periods and
+  resimulates only the tail, instead of grinding through all
+  ``WARMUP_ITERS + MEASURE_ITERS`` iterations;
+* **class-partitioned ready heaps** — ready instructions are grouped by
+  pipe-candidate class; once a class has no pipe free this cycle it is
+  skipped wholesale instead of re-popping and re-blocking each member;
 * **content-addressed deduplication** — requests with identical
   (march, stream, window) fingerprints simulate once and fan results
   back out per request (different toolchains frequently emit identical
   streams for the same loop);
-* **array-stepped lanes** — each unique point is a `_Lane` advanced in
-  bounded super-steps under a numpy active mask; lanes whose
-  steady-state period detection fires fast-forward and retire from the
-  batch early, so one slow lane never serializes the rest;
-* **class-partitioned ready heaps** — ready instructions are grouped by
-  pipe-candidate class; once a class has no pipe free this cycle it is
-  skipped wholesale instead of re-popping and re-blocking each member
-  (the dominant cost of the scalar path on pipe-bound kernels);
+* **array-stepped lanes** — each unique point is a lane advanced in
+  bounded super-steps under a numpy active mask; lanes whose period
+  detection fires fast-forward and retire from the batch early, so one
+  slow lane never serializes the rest;
 * **vectorized finalization** — steady-state statistics for all lanes
   (cycles/iter, occupancy, makespan) are computed with numpy in one
   shot.
 
-Exactness contract: the batched path issues the *identical* dynamic
-instruction sequence as :class:`~repro.engine.scheduler.PipelineScheduler`
+Exactness contract: a lane issues the *identical* dynamic instruction
+sequence as the frozen seed scheduler in :mod:`repro.engine._reference`
 — same issue cycles, same pipe choices (the pipe-candidate order of each
-class is the canonical ``_canon_pipes`` order the scalar ``_best_pipe``
-walks), same period detection keys and fast-forward shifts — and
-therefore bit-identical :class:`~repro.engine.scheduler.ScheduleResult`
-fields and ``pipeline.*`` counter payloads
-(``tests/engine/test_batch.py`` enforces this against both the
-event-driven path and the frozen seed oracle in
-:mod:`repro.engine._reference`).
+class is the canonical ``_canon_pipes`` order), hence the same
+:class:`~repro.engine.scheduler.ScheduleResult` fields and ``pipeline.*``
+counter payloads; and a lane's outcome does not depend on the batch it
+runs in (``tests/engine/test_batch.py`` and
+``tests/engine/test_golden_equivalence.py`` enforce both).
 
-The schedule cache (:mod:`repro.engine.cache`) sits in front exactly as
-it does for ``schedule_on``: batch requests look up, store and re-emit
-the same entries and ``schedule_cache.hits``/``misses`` counters a
-sequential run would.  Deduplicated duplicate requests behave like
-cache hits (replayed, not re-simulated, hence not re-observed by
-schedule observers).
+The schedule cache (:mod:`repro.engine.cache`) sits in front: batch
+requests look up, store and re-emit cache entries and count
+``schedule_cache.hits``/``misses``.  Deduplicated duplicate requests
+behave like cache hits (replayed, not re-simulated, hence not
+re-observed by schedule observers).
 """
 
 from __future__ import annotations
@@ -93,10 +97,10 @@ class _StreamTables:
     reciprocal throughput (overrides resolved).  Positions are grouped
     into *pipe-candidate classes*: ``cls_of[pos]`` names the class and
     ``class_pipes[c]`` is the candidate pipe-id tuple, in the canonical
-    ``_canon_pipes`` order the scalar scheduler's ``_best_pipe`` walks —
-    so tie-breaking between equally-free pipes is bit-identical on any
-    hash seed and across process boundaries (shard workers rebuild the
-    same tables from pickled requests).  ``deps``/``consumers`` come
+    ``_canon_pipes`` order the pipe choice walks — so tie-breaking
+    between equally-free pipes is bit-identical on any hash seed and
+    across process boundaries (shard workers rebuild the same tables
+    from pickled requests).  ``deps``/``consumers`` come
     from the memoized static dataflow.
     """
 
@@ -245,9 +249,20 @@ def clear_tables() -> None:
 
 
 # ----------------------------------------------------------------------
-def _state_key(cycle, retire, rob_limit, n_body, issued, completion,
+def _period_key(cycle, retire, rob_limit, n_body, issued, completion,
                pending, ready_acc, pipe_free):
-    """Int-pipe port of ``PipelineScheduler._state_key`` (same tuples)."""
+    """Hashable relative state of a lane's in-flight window.
+
+    Two simulation moments with equal keys evolve identically (up to
+    a uniform shift of all times and dynamic indices): the key holds
+    the retire offset within the body, the window extent, every pipe
+    backlog relative to ``cycle``, and per in-flight instruction its
+    issued flag plus completion/ready time relative to ``cycle``.
+    Past times (<= cycle) are collapsed — they no longer influence
+    issue decisions — except pipe backlogs, where the pipe choice
+    breaks ties by comparing raw values: those are encoded by rank
+    so the relative order (all that matters) must recur.
+    """
     parts: list = [retire % n_body, rob_limit - retire]
     past: list[float] = []
     for pf in pipe_free:
@@ -266,15 +281,21 @@ def _state_key(cycle, retire, rob_limit, n_body, issued, completion,
     return tuple(parts)
 
 
-def _fast_forward(prior, k_iter, cycle, n_body, total, window, retire,
+def _skip_periods(prior, k_iter, cycle, n_body, total, window, retire,
                   rob_limit, issued, completion, pending, ready_acc,
                   pipe_free, pipe_busy, pipe_touch, iter_last_issue,
                   waiting, heaps):
-    """Int-pipe port of ``PipelineScheduler._fast_forward``.
+    """Skip whole steady-state periods by shifting the in-flight state.
 
-    Identical arithmetic and shift discipline; the only structural
-    difference is that the ready set lives in per-class heaps, which are
-    shifted in place (a uniform +S shift preserves the heap property).
+    ``prior`` is an earlier snapshot with an identical relative state
+    key; the schedule between the two is one period (``p`` iterations,
+    ``D`` cycles).  The largest number of whole periods that keeps the
+    tail clear of end-of-stream window clamping is skipped; the tail is
+    then resimulated exactly, so end effects and the measured iteration
+    endpoints stay bit-faithful.  The per-class ready heaps are shifted
+    in place (a uniform +S shift preserves the heap property).  Returns
+    the new ``(retire, entered, cycle, skipped_instructions)`` or None
+    when no skip is admissible yet.
     """
     j_iter, c_j, busy_j = prior
     p = k_iter - j_iter
@@ -282,6 +303,9 @@ def _fast_forward(prior, k_iter, cycle, n_body, total, window, retire,
     if p <= 0 or D <= 0.0:
         return None
     r0 = retire % n_body
+    # last iteration the retire pointer may reach with the window still
+    # fully inside the stream (no ROB end-clamping during or right after
+    # the skipped span)
     limit_iter = (total - window - r0) // n_body - 1
     q = (limit_iter - k_iter) // p
     if q <= 0:
@@ -290,6 +314,9 @@ def _fast_forward(prior, k_iter, cycle, n_body, total, window, retire,
     S = m * n_body
     T = q * D
     lo, hi = retire, rob_limit
+    # shift the in-flight slice up by S dynamic instructions and T
+    # cycles; times already in the past stay as-is (they only feed max()
+    # accumulations and <=-cycle comparisons downstream)
     for d in range(hi - 1, lo - 1, -1):
         nd = d + S
         issued[nd] = issued[d]
@@ -298,6 +325,7 @@ def _fast_forward(prior, k_iter, cycle, n_body, total, window, retire,
         pending[nd] = pending[d]
         r = ready_acc[d]
         ready_acc[nd] = r + T if r > cycle else r
+    # the skipped span retires wholesale: issued, completed in the past
     for d in range(lo, lo + S):
         issued[d] = 1
         completion[d] = 0.0
@@ -306,6 +334,8 @@ def _fast_forward(prior, k_iter, cycle, n_body, total, window, retire,
     for h in heaps:
         if h:
             h[:] = [d + S for d in h]
+    # pipes touched within the matched period keep shifting their
+    # backlog; untouched pipes hold absolute (past) values
     for i in range(_N_PIPES):
         if pipe_touch[i] >= c_j:
             pipe_free[i] += T
@@ -321,11 +351,14 @@ def _fast_forward(prior, k_iter, cycle, n_body, total, window, retire,
 class _Lane:
     """One (march, stream, window) point being simulated in the batch.
 
-    Carries the full in-flight simulation state of the scalar
-    ``_simulate`` loop, with pipes as integers (position in
-    ``scheduler._PIPES``) and the ready heap partitioned by
+    Carries the full in-flight simulation state, with pipes as integers
+    (position in ``scheduler._PIPES``) and the ready heap partitioned by
     pipe-candidate class.  ``step`` advances up to a bounded number of
     cycle-loop passes so the batch driver can interleave lanes.
+    ``record`` keeps the issue-event log in ``events`` (one
+    ``(dynamic_index, cycle, pipe)`` per issue, in issue order) and,
+    like ``extrapolate=False``, turns period detection off so every
+    issue is simulated.
     """
 
     __slots__ = (
@@ -339,7 +372,7 @@ class _Lane:
 
     def __init__(self, march: Microarch, stream: InstructionStream,
                  window: int, tables: _StreamTables, record: bool,
-                 n_iters: int) -> None:
+                 n_iters: int, extrapolate: bool = True) -> None:
         self.march = march
         self.stream = stream
         self.window = window
@@ -365,10 +398,11 @@ class _Lane:
         self.entered = 0
         self.cycle = 0.0
         self.remaining = total
-        # recording (for schedule observers) disables period detection so
-        # every issue event is captured — identical results, more work
+        # recording (for schedule observers and traces) disables period
+        # detection so every issue event is captured — identical
+        # results, more work
         self.events: list | None = [] if record else None
-        self.detect = (not record) and n_iters > self.warmup
+        self.detect = extrapolate and not record and n_iters > self.warmup
         self.snapshots: dict = {}
         self.last_snap_iter = 0
 
@@ -376,12 +410,12 @@ class _Lane:
     def step(self, budget: int) -> bool:
         """Run up to *budget* cycle-loop passes; True once fully retired.
 
-        Bit-exact port of ``PipelineScheduler._simulate``: retire scan,
-        window admission, period detection/fast-forward, waiting→ready
-        promotion, then the greedy issue loop — pipe-candidate classes
-        replace the single ready heap (a class with no pipe free this
-        cycle is excluded wholesale; pipes only get busier within a
-        cycle, so its members could never issue anyway).
+        Each pass: retire scan, window admission, period
+        detection/fast-forward, waiting→ready promotion, then the greedy
+        issue loop — oldest ready instruction first, onto the free pipe
+        with the smallest backlog.  A pipe-candidate class with no pipe
+        free this cycle is excluded wholesale (pipes only get busier
+        within a cycle, so its members could never issue anyway).
         """
         tables = self.tables
         deps = tables.deps
@@ -456,7 +490,7 @@ class _Lane:
                 retire_iter = retire // n_body
                 if retire_iter > last_snap_iter:
                     last_snap_iter = retire_iter
-                    key = _state_key(
+                    key = _period_key(
                         cycle, retire, rob_limit, n_body, issued,
                         completion, pending, ready_acc, pipe_free,
                     )
@@ -464,7 +498,7 @@ class _Lane:
                     if prior is None:
                         snapshots[key] = (retire_iter, cycle, pipe_busy[:])
                     elif retire_iter >= warmup:
-                        skipped = _fast_forward(
+                        skipped = _skip_periods(
                             prior, retire_iter, cycle, n_body, total,
                             window, retire, rob_limit, issued, completion,
                             pending, ready_acc, pipe_free, pipe_busy,
@@ -507,8 +541,8 @@ class _Lane:
                     if hd < best_d:
                         best_d = hd
                         best_c = c
-                # smallest-backlog free pipe; first-in-order wins ties,
-                # matching the scalar _best_pipe canonical-order walk
+                # smallest-backlog free pipe; the first in canonical
+                # order wins ties
                 best_p = -1
                 best_f = limit
                 for p in class_pipes[best_c]:
@@ -567,7 +601,12 @@ class _Lane:
             if progressed:
                 cycle += 1.0
             else:
-                # stall horizon: next cycle anything can change
+                # stall horizon: the next cycle at which anything can
+                # change — a stalled in-window instruction becoming
+                # issueable (sources done AND a pipe freeing within the
+                # cycle), or the ROB head retiring (widening the window);
+                # instructions still waiting on un-issued producers have
+                # an infinite ready bound and contribute nothing
                 pts = [0.0] * n_cls
                 for c in range(n_cls):
                     mn = _INF
@@ -638,9 +677,13 @@ def _finalize(lanes: list[_Lane]) -> list[tuple[ScheduleResult, dict]]:
     """Vectorized steady-state statistics for all retired lanes.
 
     One numpy pass computes every lane's cycles/iter (with the front-end
-    bound), makespan and pipe occupancy; the arithmetic matches the
-    scalar ``_outcome`` operation-for-operation, so the float64 results
-    are bit-identical and the payloads byte-identical.
+    bound), makespan and pipe occupancy.  cycles/iter is the mean issue
+    span per measured iteration after ``WARMUP_ITERS``; utilization is
+    taken against the true makespan (warmup included), so it stays in
+    [0, 1] even when warmup is slower than steady state on tiny bodies.
+    The arithmetic is elementwise float64, so a lane's statistics do not
+    depend on the batch it ran in.  Lanes must have run at least
+    ``WARMUP_ITERS + 1`` iterations.
     """
     if not lanes:
         return []
@@ -777,6 +820,8 @@ def _simulate_jobs(
     jobs: list[tuple[Microarch, InstructionStream, int]],
     record: bool,
     n_iters: int,
+    *,
+    extrapolate: bool = True,
 ) -> list[tuple[ScheduleResult, dict, tuple | None]]:
     """Simulate unique jobs as one lane set; (result, payload, events).
 
@@ -786,7 +831,8 @@ def _simulate_jobs(
     """
     lanes = [
         _Lane(march, stream, window,
-              _tables_for(march, tuple(stream.body)), record, n_iters)
+              _tables_for(march, tuple(stream.body)), record, n_iters,
+              extrapolate)
         for march, stream, window in jobs
     ]
     _run_lanes(lanes)
@@ -861,12 +907,12 @@ def schedule_batch(
     """Schedule many ``(march, stream[, window])`` points as one batch.
 
     Returns one :class:`~repro.engine.scheduler.ScheduleResult` per
-    request, in request order — each bit-identical to what
-    ``schedule_on(march, stream, window, cache=cache)`` would return,
-    including the ``pipeline.*`` counter payload and
-    ``schedule_cache.hits``/``misses`` emissions under an active
-    :class:`~repro.perf.counters.ProfileScope` and the hit/miss
-    statistics of the process-wide schedule cache.
+    request, in request order.  Under an active
+    :class:`~repro.perf.counters.ProfileScope` every request emits its
+    ``pipeline.*`` counter payload (plus ``schedule_cache.hits`` or
+    ``misses`` when cached), in request order; the process-wide cache's
+    hit/miss statistics move exactly as one request at a time would
+    move them.
 
     Content-identical requests are deduplicated: the point simulates
     once and duplicates replay the stored outcome (relabeled per

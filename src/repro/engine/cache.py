@@ -1,4 +1,4 @@
-"""Content-addressed schedule cache: memoize ``PipelineScheduler`` runs.
+"""Content-addressed schedule cache: memoize simulated schedules.
 
 Every figure/table sweep in the reproduction re-schedules the same
 (kernel x toolchain x window) points over and over — and different
@@ -14,10 +14,14 @@ loop.  This module keys schedules on content, not identity:
   compilers emitting the same instructions must share one cache entry.
   On a hit the cached result is relabeled for the requesting stream.
 
-The in-process layer is a thread-safe LRU (:class:`ScheduleCache`); an
-opt-in on-disk layer persists entries as versioned JSON under
-``$REPRO_CACHE_DIR`` (or ``~/.cache/repro`` when enabled via
-:func:`configure`), surviving across processes and sweep workers.
+:func:`~repro.engine.scheduler.schedule_on` and
+:func:`~repro.engine.batch.schedule_batch` consult it (``cache=True``,
+the default): the batch plan looks every request up before simulating
+and stores each fresh outcome after.  The in-process layer is a
+thread-safe LRU (:class:`ScheduleCache`); an opt-in on-disk layer
+persists entries as versioned JSON under ``$REPRO_CACHE_DIR`` (or
+``~/.cache/repro`` when enabled via :func:`configure`), surviving
+across processes and sweep workers.
 
 Cache hits must be observationally identical to cold runs: each entry
 stores the schedule's ``pipeline.*`` counter payload, and a hit re-emits
@@ -41,17 +45,15 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.engine.scheduler import PipelineScheduler, ScheduleResult
 from repro.machine.isa import InstructionStream, Pipe
 from repro.machine.microarch import Microarch
-from repro.perf.counters import emit, is_profiling
 
 __all__ = [
     "ScheduleCache",
-    "cached_schedule",
     "configure",
     "enabled",
     "get_cache",
@@ -345,48 +347,8 @@ def configure(capacity: int = 4096,
         return _CACHE
 
 
-def _enabled() -> bool:
+def enabled() -> bool:
+    """True when schedule caching is active (``REPRO_SCHEDULE_CACHE``)."""
     return os.environ.get("REPRO_SCHEDULE_CACHE", "").lower() not in (
         "off", "0", "no", "false",
     )
-
-
-def enabled() -> bool:
-    """True when schedule caching is active (``REPRO_SCHEDULE_CACHE``).
-
-    Public so other cache-fronting layers (the batched engine in
-    :mod:`repro.engine.batch`) honor the same kill switch as
-    :func:`cached_schedule`.
-    """
-    return _enabled()
-
-
-def cached_schedule(march: Microarch, stream: InstructionStream,
-                    window: int | None = None) -> ScheduleResult:
-    """Schedule *stream* on *march* through the content-addressed cache.
-
-    Equivalent to ``PipelineScheduler(march, window).steady_state(stream)``
-    — including the ``pipeline.*`` counters emitted under profiling —
-    but repeated requests for content-identical inputs are O(1).
-    """
-    scheduler = PipelineScheduler(march, window=window)
-    if not _enabled():
-        return scheduler.steady_state(stream)
-    cache = get_cache()
-    key = (
-        march_fingerprint(march, scheduler.window),
-        stream_fingerprint(stream),
-    )
-    entry = cache.lookup(key)
-    if entry is None:
-        result, payload = scheduler._outcome(stream)
-        entry = _Entry(result=replace(result, label=""), counters=payload)
-        cache.store(key, entry)
-        if is_profiling():
-            emit("schedule_cache.misses", 1.0)
-    elif is_profiling():
-        emit("schedule_cache.hits", 1.0)
-    if is_profiling():
-        for name, value in entry.counters.items():
-            emit(name, value)
-    return replace(entry.result, label=stream.label)

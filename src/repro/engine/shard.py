@@ -42,8 +42,8 @@ Where process pools are unavailable the pool downgrade of
 :class:`~repro.engine.sweep.PoolDowngradeWarning` is emitted, threads
 are used instead, and :func:`~repro.engine.sweep.last_effective_mode`
 reports what actually ran.  A divergent lane raises the same
-:class:`~repro.engine.scheduler.ScheduleDivergence` as the scalar path
-(the exception pickles by field across the pool boundary).
+:class:`~repro.engine.scheduler.ScheduleDivergence` as the in-process
+batch (the exception pickles by field across the pool boundary).
 """
 
 from __future__ import annotations

@@ -24,24 +24,23 @@ shares the in-process schedule cache, fine for the GIL-light scheduler
 inner loop), ``"process"`` (true parallelism; combine with
 ``REPRO_CACHE_DIR`` so workers share schedules via the disk cache).
 
-Batched scheduling: when a sweep carries at least
-:func:`batch_min_points` points, :func:`run_sweep` routes them through
-the grid fast paths — compilations deduplicate through the
-content-addressed compile cache (:mod:`repro.compilers.cache`),
-engine-tier points run as one structure-of-arrays batch
-(:mod:`repro.engine.batch`; sharded over a process pool by
-:mod:`repro.engine.shard` under ``mode="process"``), and ECM-tier
-points evaluate as one vectorized array program
-(:mod:`repro.ecm.batch`) — identical rows, counters and cache
-statistics, multiplicatively fewer scalar evaluations.  ``batch=False``
-(or ``REPRO_BATCH_SCHEDULE=off``) forces the per-point path; single
-points and small sweeps keep the event-driven scheduler automatically.
-``REPRO_BATCH_MIN_POINTS`` overrides the routing threshold.
+Batched scheduling: :func:`run_sweep` routes every sweep, one point or
+thousands, through the grid fast paths — compilations deduplicate
+through the content-addressed compile cache
+(:mod:`repro.compilers.cache`), engine-tier points run as one
+structure-of-arrays batch (:mod:`repro.engine.batch`; sharded over a
+process pool by :mod:`repro.engine.shard` under ``mode="process"``),
+and ECM-tier points evaluate as one vectorized array program
+(:mod:`repro.ecm.batch`).  ``batch=False`` keeps the per-point
+reference path (one ``schedule_on`` or ``predict_compiled`` per point
+through :func:`map_schedules`).  Rows and cache statistics are
+identical either way, and so are counter totals, except that the
+per-point path's thread pool merges per-task subtotals, so a float
+total may then differ in the last bit.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
@@ -52,11 +51,9 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from repro.perf.counters import ProfileScope, active_scopes
 
 __all__ = [
-    "BATCH_MIN_POINTS",
     "PoolDowngradeWarning",
     "SweepPoint",
     "TIERS",
-    "batch_min_points",
     "last_effective_mode",
     "map_schedules",
     "run_sweep",
@@ -70,11 +67,6 @@ MODES = ("serial", "thread", "process")
 
 #: prediction tiers a sweep point can run under
 TIERS = ("engine", "ecm")
-
-#: default minimum point count before :func:`run_sweep` routes through
-#: the batched grid paths (below this, per-point scheduling is cheaper
-#: than assembling a batch); override with ``REPRO_BATCH_MIN_POINTS``
-BATCH_MIN_POINTS = 8
 
 
 class PoolDowngradeWarning(RuntimeWarning):
@@ -126,44 +118,12 @@ def _make_pool(mode: str, max_workers: int | None) -> tuple[Executor, str]:
     return ThreadPoolExecutor(max_workers=max_workers), "thread"
 
 
-def _batch_enabled() -> bool:
-    """Default batching policy (``REPRO_BATCH_SCHEDULE`` kill switch)."""
-    return os.environ.get("REPRO_BATCH_SCHEDULE", "").lower() not in (
-        "off", "0", "no", "false",
-    )
-
-
-def batch_min_points() -> int:
-    """The effective batch-routing threshold for :func:`run_sweep`.
-
-    Defaults to :data:`BATCH_MIN_POINTS`; the ``REPRO_BATCH_MIN_POINTS``
-    environment variable (validated integer >= 1, documented next to
-    the ``REPRO_BATCH_SCHEDULE`` kill switch) overrides it, e.g. to
-    force tiny sweeps onto the batch path in experiments or to keep
-    mid-size sweeps per-point.
-    """
-    raw = os.environ.get("REPRO_BATCH_MIN_POINTS")
-    if raw is None or raw.strip() == "":
-        return BATCH_MIN_POINTS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BATCH_MIN_POINTS must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"REPRO_BATCH_MIN_POINTS must be >= 1, got {value}"
-        )
-    return value
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One schedule request, by name (picklable for process pools).
 
     ``tier`` selects the prediction tier: ``"engine"`` simulates the
-    steady-state schedule on the fast event-driven scheduler;
+    steady-state schedule;
     ``"ecm"`` evaluates the analytical ECM model
     (:mod:`repro.ecm.model`) instead — no simulation, microseconds per
     point.
@@ -274,7 +234,7 @@ def _schedule_point(
 ) -> dict:
     """Compile + predict one named sweep point (top-level: picklable).
 
-    The ``engine`` tier simulates through the cached fast scheduler;
+    The ``engine`` tier simulates through the cached scheduler;
     the ``ecm`` tier evaluates the analytical model on the same
     compiled loop, so the two rows are directly comparable.
     """
@@ -391,7 +351,7 @@ def _run_sweep_batched(
     ecm_rows: list[tuple[int, dict]] = []
     for i, compiled, march, window, point_tier, req_idx in pending:
         # pre-seed the cached property so cycles_per_element reuses the
-        # batch result instead of re-entering the scalar scheduler
+        # batch result instead of scheduling the point again
         compiled.__dict__["schedule"] = results[req_idx]
         row = {
             "loop": specs[i][0],
@@ -447,26 +407,17 @@ def run_sweep(
     every point at once (``--tier ecm`` on the CLIs lands here); per
     -point tiers come from :attr:`SweepPoint.tier`.
 
-    ``batch`` controls the batched grid paths: ``None`` (default) uses
-    them when at least :func:`batch_min_points` points (of either tier)
-    are pending (unless ``REPRO_BATCH_SCHEDULE=off``), ``True`` forces
-    them, ``False`` keeps the per-point event-driven path.  Rows,
-    counters and cache statistics are identical either way; under
-    ``mode="process"`` the batch simulation itself shards across a
-    process pool.
+    Every sweep runs on the batched grid paths; ``batch=False`` selects
+    the per-point reference path instead (``None`` and ``True`` both
+    batch).  Rows and cache statistics are identical either way (see
+    the module docstring for counter totals); under ``mode="process"``
+    the batch simulation itself shards across a process pool.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     specs = [_normalize(p, tier) for p in points]
-    n_engine = sum(1 for s in specs if s[3] == "engine")
-    n_pred = len(specs)
-    use_batch = _batch_enabled() if batch is None else batch
-    threshold = batch_min_points()
-    if use_batch and (n_engine >= threshold or n_pred >= threshold or
-                      (batch is True and n_pred > 0)):
-        return _run_sweep_batched(
-            specs, mode=mode, max_workers=max_workers
+    if batch is False or not specs:
+        return map_schedules(
+            _schedule_point, specs, mode=mode, max_workers=max_workers
         )
-    return map_schedules(
-        _schedule_point, specs, mode=mode, max_workers=max_workers
-    )
+    return _run_sweep_batched(specs, mode=mode, max_workers=max_workers)

@@ -1,15 +1,17 @@
 """Issue-trace capture and pipeline diagrams for the scheduler.
 
 The scheduler reports steady-state aggregates; this module runs the
-*same* event-driven simulation (not a copy of it) with an ``on_issue``
-hook installed, recording when each instruction issues and on which
-pipe, then renders the first iterations as a text pipeline diagram —
-the tool one reaches for when asking "why is this kernel 2.2
-cycles/element?" (exactly the Section IV exercise).
+*same* lane simulator (:mod:`repro.engine.batch`, not a copy of it) with
+recording on, reading when each instruction issues and on which pipe
+from the lane's event log, then renders the first iterations as a text
+pipeline diagram — the tool one reaches for when asking "why is this
+kernel 2.2 cycles/element?" (exactly the Section IV exercise).
 
-Installing the hook disables steady-state extrapolation, so every issue
-of every iteration is observed; the issue decisions are identical to
-the aggregate scheduler's by construction.
+Recording disables steady-state extrapolation, so every issue of every
+iteration is observed; the issue decisions are identical to the
+aggregate scheduler's by construction.  A trace may run fewer
+iterations than the scheduler's warm-up, so it reads the event log only
+and finalizes no steady-state statistics.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._util import require_positive
-from repro.engine.scheduler import PipelineScheduler
+from repro.engine.batch import _Lane, _run_lanes, _tables_for
 from repro.machine.isa import InstructionStream, Pipe
 from repro.machine.microarch import Microarch
 
@@ -43,25 +45,22 @@ def capture_trace(
     """Issue events of the first *iterations* of *stream* on *march*."""
     require_positive(iterations, "iterations")
     stream.validate()
-    body = stream.body
+    window = march.window if window is None else window
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    body = tuple(stream.body)
+    lane = _Lane(march, stream, window, _tables_for(march, body),
+                 record=True, n_iters=iterations)
+    _run_lanes([lane])
     n_body = len(body)
     events: list[IssueEvent] = []
-
-    def record(d: int, cycle: float, pipe: Pipe) -> None:
-        ins = body[d % n_body]
-        events.append(
-            IssueEvent(
-                index=d,
-                iteration=d // n_body,
-                position=d % n_body,
-                cycle=cycle,
-                pipe=pipe,
-                mnemonic=ins.tag or ins.op.value,
-            )
-        )
-
-    scheduler = PipelineScheduler(march, window=window)
-    scheduler._simulate(stream, iterations, on_issue=record)
+    for d, cycle, pipe in lane.events:
+        iteration, position = divmod(d, n_body)
+        ins = body[position]
+        events.append(IssueEvent(
+            index=d, iteration=iteration, position=position, cycle=cycle,
+            pipe=pipe, mnemonic=ins.tag or ins.op.value,
+        ))
     return events
 
 

@@ -12,7 +12,7 @@ the executable model objects on demand:
 
 * :meth:`MachineSpec.build_core` → a
   :class:`~repro.machine.microarch.Microarch` consumed by the code
-  generator, the event-driven/batched engines and the ECM in-core
+  generator, the scheduling engine and the ECM in-core
   analysis;
 * :meth:`MachineSpec.build_system` → a
   :class:`~repro.machine.systems.System` consumed by the ECM traffic

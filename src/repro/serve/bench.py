@@ -4,10 +4,13 @@ Measures what the serving architecture adds over one-shot execution:
 
 1. **Naive baseline** — a :class:`~repro.serve.server.PredictionServer`
    in ``naive`` mode behind the same TCP frontend: one request at a
-   time, private compilation, uncached scalar scheduling.  This is the
-   stateless process-per-request deployment the paper's sweep tooling
-   started from, measured over the identical transport so the ratio
-   isolates batching + shared caches + dedup rather than socket costs.
+   time, private compilation, uncached scheduling on the frozen seed
+   scheduler (:class:`~repro.engine._reference.ReferenceScheduler`).
+   This is the stateless process-per-request deployment the paper's
+   sweep tooling started from, measured over the identical transport so
+   the ratio isolates the serving architecture rather than socket
+   costs — and its answers are the equivalence oracle, computed by code
+   the batched server does not share.
 2. **Batched server** at several closed-loop concurrency levels —
    cross-request micro-batching, content-addressed caches, in-flight
    deduplication, the SoA engine batch and vectorized ECM tier.
@@ -52,10 +55,14 @@ __all__ = [
 
 BENCH_FORMAT = "repro.serve-bench/1"
 
-#: best-level batched throughput must beat the naive baseline by this
-SERVE_SPEEDUP_FLOOR = 5.0
+#: best-level batched throughput must beat the naive baseline by this.
+#: The floors were 5x (2x quick) over a naive server scheduling on the
+#: former event-driven scheduler, which ran a median 4.67x (3.33x
+#: quick) faster than the seed-scheduler baseline (20 runs each), so
+#: these values are equally strict
+SERVE_SPEEDUP_FLOOR = 23.4
 #: smoke floor for ``--quick`` (tiny mix, cold caches, CI containers)
-SERVE_SPEEDUP_FLOOR_QUICK = 2.0
+SERVE_SPEEDUP_FLOOR_QUICK = 6.7
 
 #: closed-loop client counts per measured level
 CONCURRENCY_LEVELS = (1, 8, 32)

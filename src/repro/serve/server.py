@@ -30,9 +30,10 @@ contract, so a served response is float-for-float identical to calling
 answered from the warm caches (``tests/serve/test_golden.py``).
 
 ``naive=True`` builds the benchmark baseline: one-request-at-a-time
-execution with **no** cross-request reuse (private compilation, uncached
-scalar scheduling), so ``repro serve-bench`` measures exactly what the
-serving architecture adds.
+execution with **no** cross-request reuse (private compilation, the
+frozen seed scheduler of :mod:`repro.engine._reference`, uncached), so
+``repro serve-bench`` measures what the serving architecture adds and
+checks its answers against an independent oracle.
 
 Frontends: :func:`serve_stdio` speaks the line protocol over
 stdin/stdout; :class:`TcpFrontend` serves a local socket with one
@@ -423,16 +424,19 @@ class PredictionServer:
     def _run_naive(self, items: list[PredictRequest]) -> list[dict]:
         """Baseline execution: no batching, no cross-request reuse.
 
-        Every request pays a private compilation and uncached scalar
-        scheduling/prediction — what a stateless one-shot process would
-        do.  Responses are still bit-identical (the caches and batch
-        paths are exact), so the serve benchmark's speedup isolates the
-        serving architecture, not answer drift.
+        Every request pays a private compilation and an uncached
+        prediction — what a stateless one-shot process would do.
+        Engine schedules come from the frozen seed scheduler
+        (:class:`~repro.engine._reference.ReferenceScheduler`), so the
+        serve benchmark's equivalence gate checks served answers against
+        an oracle that does not share the engine under test; answers are
+        bit-identical, so the speedup isolates the serving architecture,
+        not answer drift.
         """
         from repro.compilers.codegen import compile_loop
         from repro.compilers.toolchains import get_toolchain
         from repro.ecm.model import predict_compiled
-        from repro.engine.scheduler import schedule_on
+        from repro.engine._reference import ReferenceScheduler
         from repro.kernels.catalog import build_kernel
         from repro.machine.microarch import A64FX, SKYLAKE_6140
         from repro.machine.systems import get_system
@@ -445,8 +449,8 @@ class PredictionServer:
                 tc = get_toolchain(req.toolchain)
                 march = SKYLAKE_6140 if tc.target == "x86" else A64FX
                 compiled = compile_loop(build_kernel(req.kernel), tc, march)
-                compiled.__dict__["schedule"] = schedule_on(
-                    march, compiled.stream, cache=False)
+                compiled.__dict__["schedule"] = ReferenceScheduler(
+                    march).steady_state(compiled.stream)
                 row = {
                     "loop": req.kernel,
                     "toolchain": tc.name,
@@ -472,8 +476,8 @@ class PredictionServer:
                         "bound": pred.bound,
                     })
                 else:
-                    sched = schedule_on(
-                        march, compiled.stream, req.window, cache=False)
+                    sched = ReferenceScheduler(
+                        march, req.window).steady_state(compiled.stream)
                     row.update({
                         "cycles_per_iter": sched.cycles_per_iter,
                         "cycles_per_element": sched.cycles_per_element,

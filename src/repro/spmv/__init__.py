@@ -9,7 +9,7 @@ regular stencil sweeps.  This package reproduces that kernel family as
 loop IR so the same kernels run on **all three prediction tiers**:
 
 * the analytical ECM tier (:mod:`repro.ecm`) — microseconds,
-* the event-driven fast engine (:mod:`repro.engine.scheduler`),
+* the fast engine (:mod:`repro.engine.scheduler`),
 * the full simulation (``PipelineScheduler(march, extrapolate=False)``).
 
 :mod:`repro.spmv.matrices` models the sparse-matrix storage formats

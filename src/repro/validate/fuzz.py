@@ -1,15 +1,17 @@
 """Pass 4 — differential fuzz oracle against the golden reference.
 
-The fast event-driven scheduler (:mod:`repro.engine.scheduler`) carries
+The production scheduler (the lane simulator of
+:mod:`repro.engine.batch`, behind :mod:`repro.engine.scheduler`) carries
 two optimizations the frozen seed implementation
 (:mod:`repro.engine._reference`) does not: event-driven time advance and
 steady-state period detection.  Both are required to be *observationally
 invisible*.  This pass generates randomized-but-well-formed IR loops,
 compiles each under a randomly drawn toolchain, and demands that
 
-* the fast scheduler with period detection,
-* the fast scheduler with detection disabled (full simulation),
-* the batched SoA engine (:func:`repro.engine.batch.schedule_batch`),
+* :class:`~repro.engine.scheduler.PipelineScheduler` with period
+  detection,
+* the same with detection disabled (full simulation),
+* the batch entry point (:func:`repro.engine.batch.schedule_batch`),
   including its ``pipeline.*`` counter payload, and
 * the reference scheduler
 

@@ -12,7 +12,7 @@ simulator, the properties the machine model promises:
 * **front-end cap** — at most ``issue_width`` issues per cycle;
 * **per-pipe legality** — replaying the pipe-backlog chain, every issue
   lands on a pipe that frees up within its cycle, exactly the
-  ``_best_pipe`` admission rule;
+  scheduler's pipe-admission rule;
 * **bounded window / in-order retire** — instruction ``d`` may issue
   only once everything at or below ``d - window`` has completed (the
   retire pointer must have passed it for ``d`` to be window-visible);
@@ -37,6 +37,7 @@ from repro.engine.scheduler import (
     PipelineScheduler,
     ScheduleRecord,
     ScheduleResult,
+    _dataflow_of,
     add_schedule_observer,
     remove_schedule_observer,
 )
@@ -152,7 +153,7 @@ def check_record(record: ScheduleRecord) -> list[Violation]:
                     f"out-of-order retire or window overrun",
                 ))
 
-    deps, _consumers = PipelineScheduler._static_dataflow(stream.body)
+    deps, _consumers = _dataflow_of(tuple(stream.body))
     for d in range(total):
         it, pos = divmod(d, n_body)
         for ppos, delta in deps[pos]:

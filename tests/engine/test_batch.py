@@ -1,13 +1,14 @@
 """Golden equivalence and wiring tests for the batched SoA engine.
 
-:func:`repro.engine.batch.schedule_batch` is a pure optimization: one
-array-stepped batch over many (march, stream, window) points must be
-**bit-exact** against the event-driven scheduler and (at 1e-9 relative)
-against the frozen seed implementation in
+:func:`repro.engine.batch.schedule_batch` is the one scheduling engine:
+one array-stepped batch over many (march, stream, window) points must be
+**bit-exact** against the same points scheduled one lane at a time
+(:class:`~repro.engine.scheduler.PipelineScheduler`), and match (at 1e-9
+relative) the frozen seed implementation in
 :mod:`repro.engine._reference` — results, ``pipeline.*`` counter
 payloads, and schedule-cache statistics included.  The full Fig. 1/2
 catalog crossed with every toolchain rides through a single batch call
-here, plus dedup/cache semantics, sweep routing, observer records and
+here, plus dedup/cache semantics, sweep parity, observer records and
 the error paths.
 """
 
@@ -18,7 +19,6 @@ from repro.compilers.toolchains import TOOLCHAINS
 from repro.engine._reference import ReferenceScheduler
 from repro.engine.batch import clear_tables, schedule_batch
 from repro.engine.cache import (
-    cached_schedule,
     configure,
     get_cache,
     march_fingerprint,
@@ -67,7 +67,7 @@ def _suite_requests():
 
 
 def assert_bit_exact(res, ref):
-    """Batch vs event-driven: every field identical, label included."""
+    """N-lane batch vs one lane: every field identical, label included."""
     assert res.cycles_per_iter == ref.cycles_per_iter
     assert res.ipc == ref.ipc
     assert res.elements_per_iter == ref.elements_per_iter
@@ -103,7 +103,8 @@ def fresh_state():
 
 class TestBatchGoldenEquivalence:
     def test_full_suite_bit_exact_vs_event_driven(self):
-        """One batch over the whole catalog == per-point fast scheduler."""
+        """One batch over the whole catalog == each point on its own
+        lane (``PipelineScheduler``)."""
         results = schedule_batch(_suite_requests(), cache=False)
         assert len(results) == len(POINTS)
         for (loop, tc), res in zip(POINTS, results):
@@ -120,7 +121,8 @@ class TestBatchGoldenEquivalence:
             assert_results_match(res, ref)
 
     def test_windowed_requests_bit_exact(self):
-        """Explicit (and mixed) windows replicate the scalar scheduler."""
+        """Explicit (and mixed) windows in one batch replicate the
+        one-lane scheduler."""
         march = _march_for("fujitsu")
         stream = _stream_for("predicate", "fujitsu")
         requests = [(march, stream, w) for w in (1, 2, 8, 32, None)]
@@ -131,15 +133,23 @@ class TestBatchGoldenEquivalence:
 
     @pytest.mark.parametrize("tc", list(TOOLCHAINS))
     def test_counter_payload_identical(self, tc):
-        """pipeline.* emissions match the scalar path bit-for-bit."""
+        """pipeline.* emissions match the seed scheduler's, whether the
+        point runs alone or inside a larger batch."""
         march = _march_for(tc)
-        for loop in ("gather", "sqrt"):
-            stream = _stream_for(loop, tc)
-            with ProfileScope("scalar") as scalar:
-                PipelineScheduler(march).steady_state(stream)
+        streams = [_stream_for(loop, tc) for loop in ("gather", "sqrt")]
+        for stream in streams:
+            with ProfileScope("seed") as seed:
+                ReferenceScheduler(march).steady_state(stream)
             with ProfileScope("batched") as batched:
                 schedule_batch([(march, stream)], cache=False)
-            assert batched.as_dict() == scalar.as_dict()
+            assert batched.as_dict() == pytest.approx(
+                seed.as_dict(), rel=RTOL)
+        with ProfileScope("seed") as seed:
+            for stream in streams:
+                ReferenceScheduler(march).steady_state(stream)
+        with ProfileScope("batched") as batched:
+            schedule_batch([(march, s) for s in streams], cache=False)
+        assert batched.as_dict() == pytest.approx(seed.as_dict(), rel=RTOL)
 
     def test_issue_slot_identity_holds(self):
         """issue_slots.total == used + stalled on the batched path."""
@@ -180,9 +190,9 @@ class TestBatchCacheSemantics:
     def test_cache_hit_emissions_match_scalar_hit(self):
         march = _march_for("gnu")
         stream = _stream_for("scatter", "gnu")
-        cached_schedule(march, stream)  # prime via the scalar front
+        schedule_on(march, stream)  # prime via the per-point front
         with ProfileScope("scalar-hit") as scalar:
-            cached_schedule(march, stream)
+            schedule_on(march, stream)
         with ProfileScope("batch-hit") as batch:
             schedule_batch([(march, stream)])
         assert batch.as_dict() == scalar.as_dict()
@@ -230,14 +240,14 @@ class TestBatchCacheSemantics:
             res, PipelineScheduler(march).steady_state(stream))
 
     def test_entry_reusable_by_scalar_front(self):
-        """Entries stored by the batch are served to cached_schedule."""
+        """Entries stored by a batch are served to schedule_on."""
         march = _march_for("fujitsu")
         stream = _stream_for("gather", "fujitsu")
         batch_res = schedule_batch([(march, stream)])[0]
         key = (march_fingerprint(march, march.window),
                stream_fingerprint(stream))
         assert get_cache().lookup(key) is not None
-        assert_bit_exact(cached_schedule(march, stream), batch_res)
+        assert_bit_exact(schedule_on(march, stream), batch_res)
 
 
 class TestBatchSweepRouting:
@@ -259,6 +269,17 @@ class TestBatchSweepRouting:
         assert batched.as_dict() == scalar.as_dict()
         assert get_cache().stats() == scalar_stats
 
+        # 1..7-point sweeps batch by default too: same rows and cache
+        # statistics as the per-point path
+        for n in range(1, 8):
+            points = POINTS[::5][:n]
+            configure()
+            per_point_rows = run_sweep(points, batch=False)
+            per_point_stats = get_cache().stats()
+            configure()
+            assert run_sweep(points) == per_point_rows
+            assert get_cache().stats() == per_point_stats
+
     def test_mixed_tier_sweep(self):
         """ECM points interleave with batched engine points in order."""
         points = [("simple", "gnu", None, "ecm"),
@@ -272,13 +293,6 @@ class TestBatchSweepRouting:
         assert rows == scalar
         assert [r["tier"] for r in rows] == ["ecm", "engine",
                                              "ecm", "engine"]
-
-    def test_env_kill_switch_forces_scalar_path(self, monkeypatch):
-        """REPRO_BATCH_SCHEDULE=off: rows still correct (scalar path)."""
-        monkeypatch.setenv("REPRO_BATCH_SCHEDULE", "off")
-        rows = run_sweep(POINTS[:10], mode="serial")
-        ref = run_sweep(POINTS[:10], mode="serial", batch=False)
-        assert rows == ref
 
 
 class TestBatchObservers:

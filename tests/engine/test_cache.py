@@ -8,13 +8,12 @@ from repro.compilers.codegen import compile_loop
 from repro.compilers.toolchains import TOOLCHAINS
 from repro.engine.cache import (
     ScheduleCache,
-    cached_schedule,
     configure,
     get_cache,
     march_fingerprint,
     stream_fingerprint,
 )
-from repro.engine.scheduler import PipelineScheduler
+from repro.engine.scheduler import PipelineScheduler, schedule_on
 from repro.kernels.loops import build_loop
 from repro.machine.isa import Instruction, InstructionStream, Op
 from repro.machine.microarch import A64FX, SKYLAKE_6140, THUNDERX2
@@ -64,8 +63,8 @@ class TestCachedSchedule:
         a = _stream(label="first")
         b = _stream(label="second")  # same content, different label
         fresh = PipelineScheduler(A64FX).steady_state(a)
-        first = cached_schedule(A64FX, a)
-        second = cached_schedule(A64FX, b)
+        first = schedule_on(A64FX, a)
+        second = schedule_on(A64FX, b)
         assert first.cycles_per_iter == fresh.cycles_per_iter
         assert second.cycles_per_iter == fresh.cycles_per_iter
         assert first.label == "first"
@@ -82,29 +81,29 @@ class TestCachedSchedule:
             for name, tc in TOOLCHAINS.items() if tc.target == "sve"
         }
         for stream in streams.values():
-            cached_schedule(A64FX, stream)
+            schedule_on(A64FX, stream)
         fingerprints = {stream_fingerprint(s) for s in streams.values()}
         assert len(get_cache()) == len(fingerprints) < len(streams)
 
     def test_window_is_part_of_the_key(self):
         s = _stream()
-        narrow = cached_schedule(A64FX, s, window=1)
-        wide = cached_schedule(A64FX, s)
+        narrow = schedule_on(A64FX, s, window=1)
+        wide = schedule_on(A64FX, s)
         assert narrow.cycles_per_iter >= wide.cycles_per_iter
         assert get_cache().stats()["misses"] == 2
 
     def test_disabled_via_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "off")
         s = _stream()
-        res = cached_schedule(A64FX, s)
+        res = schedule_on(A64FX, s)
         assert res.cycles_per_iter > 0
         assert len(get_cache()) == 0
 
     def test_hit_emits_cache_counters(self):
         s = _stream()
         with ProfileScope("c") as counters:
-            cached_schedule(A64FX, s)
-            cached_schedule(A64FX, s)
+            schedule_on(A64FX, s)
+            schedule_on(A64FX, s)
         assert counters["schedule_cache.misses"] == 1.0
         assert counters["schedule_cache.hits"] == 1.0
         # the schedule payload was emitted on both paths
@@ -136,7 +135,7 @@ class TestDiskLayer:
     def test_round_trip_across_cache_instances(self, tmp_path):
         s = _stream(label="disk-test")
         configure(disk_dir=tmp_path)
-        cold = cached_schedule(A64FX, s)
+        cold = schedule_on(A64FX, s)
         files = list(tmp_path.glob("*.json"))
         assert len(files) == 1
         doc = json.loads(files[0].read_text())
@@ -144,7 +143,7 @@ class TestDiskLayer:
 
         # a fresh process-equivalent: empty memory, same disk dir
         configure(disk_dir=tmp_path)
-        warm = cached_schedule(A64FX, s)
+        warm = schedule_on(A64FX, s)
         assert get_cache().stats()["disk_hits"] == 1
         assert warm.cycles_per_iter == cold.cycles_per_iter
         assert warm.ipc == cold.ipc
@@ -156,10 +155,10 @@ class TestDiskLayer:
         s = _stream()
         configure(disk_dir=tmp_path)
         with ProfileScope("cold") as cold:
-            cached_schedule(A64FX, s)
+            schedule_on(A64FX, s)
         configure(disk_dir=tmp_path)
         with ProfileScope("warm") as warm:
-            cached_schedule(A64FX, s)
+            schedule_on(A64FX, s)
         cold_pipeline = {k: v for k, v in cold.as_dict().items()
                          if k.startswith("pipeline.")}
         warm_pipeline = {k: v for k, v in warm.as_dict().items()
@@ -169,17 +168,17 @@ class TestDiskLayer:
     def test_corrupt_entry_recomputes(self, tmp_path):
         s = _stream()
         configure(disk_dir=tmp_path)
-        cached_schedule(A64FX, s)
+        schedule_on(A64FX, s)
         for f in tmp_path.glob("*.json"):
             f.write_text("{not json")
         configure(disk_dir=tmp_path)
-        res = cached_schedule(A64FX, s)
+        res = schedule_on(A64FX, s)
         assert res.cycles_per_iter > 0
         assert get_cache().stats()["disk_hits"] == 0
 
     def test_clear_drops_disk_entries(self, tmp_path):
         configure(disk_dir=tmp_path)
-        cached_schedule(A64FX, _stream())
+        schedule_on(A64FX, _stream())
         assert list(tmp_path.glob("*.json"))
         dropped = get_cache().clear(disk=True)
         assert dropped >= 2  # memory entry + disk file
@@ -190,14 +189,14 @@ class TestDiskLayer:
         import repro.engine.cache as cache_mod
 
         monkeypatch.setattr(cache_mod, "_CACHE", None)
-        cached_schedule(A64FX, _stream())
+        schedule_on(A64FX, _stream())
         assert list(tmp_path.glob("*.json"))
 
 
 class TestDiskStats:
     def test_cold_miss_counts_disk_miss_and_write(self, tmp_path):
         configure(disk_dir=tmp_path)
-        cached_schedule(A64FX, _stream())
+        schedule_on(A64FX, _stream())
         stats = get_cache().stats()
         assert stats["misses"] == 1
         assert stats["disk_misses"] == 1
@@ -207,9 +206,9 @@ class TestDiskStats:
     def test_fresh_cache_same_dir_counts_disk_hit(self, tmp_path):
         s = _stream()
         configure(disk_dir=tmp_path)
-        cached_schedule(A64FX, s)
+        schedule_on(A64FX, s)
         configure(disk_dir=tmp_path)
-        cached_schedule(A64FX, s)
+        schedule_on(A64FX, s)
         stats = get_cache().stats()
         assert stats["disk_hits"] == 1
         assert stats["disk_misses"] == 0
@@ -218,8 +217,8 @@ class TestDiskStats:
     def test_memory_hit_touches_no_disk_counters(self, tmp_path):
         s = _stream()
         configure(disk_dir=tmp_path)
-        cached_schedule(A64FX, s)
-        cached_schedule(A64FX, s)  # memory hit
+        schedule_on(A64FX, s)
+        schedule_on(A64FX, s)  # memory hit
         stats = get_cache().stats()
         assert stats["hits"] == 1
         assert stats["disk_misses"] == 1
@@ -227,7 +226,7 @@ class TestDiskStats:
 
     def test_clear_resets_disk_counters(self, tmp_path):
         configure(disk_dir=tmp_path)
-        cached_schedule(A64FX, _stream())
+        schedule_on(A64FX, _stream())
         get_cache().clear()
         stats = get_cache().stats()
         assert stats["disk_hits"] == stats["disk_misses"] == 0
@@ -235,8 +234,8 @@ class TestDiskStats:
 
     def test_memory_only_cache_keeps_disk_counters_zero(self):
         configure()
-        cached_schedule(A64FX, _stream())
-        cached_schedule(A64FX, _stream())
+        schedule_on(A64FX, _stream())
+        schedule_on(A64FX, _stream())
         stats = get_cache().stats()
         assert stats["disk_hits"] == stats["disk_misses"] == 0
         assert stats["disk_writes"] == 0

@@ -1,11 +1,11 @@
 """Golden equivalence: every fast path must reproduce the seed scheduler.
 
-The event-driven core, the steady-state extrapolation, the schedule
-cache, and the parallel sweep runner are pure optimizations — the
-contract (enforced here at 1e-9 relative, in practice bit-exact) is that
-``ScheduleResult`` and the emitted ``pipeline.*`` counters are unchanged
-from the preserved seed implementation in
-:mod:`repro.engine._reference`.
+The batch-lane simulator (event-driven time advance and steady-state
+extrapolation), the schedule cache, and the parallel sweep runner are
+pure optimizations — the contract (enforced here at 1e-9 relative, in
+practice bit-exact) is that ``ScheduleResult`` and the emitted
+``pipeline.*`` counters are unchanged from the preserved seed
+implementation in :mod:`repro.engine._reference`.
 """
 
 import pytest
@@ -13,8 +13,8 @@ import pytest
 from repro.compilers.codegen import compile_loop
 from repro.compilers.toolchains import TOOLCHAINS
 from repro.engine._reference import ReferenceScheduler
-from repro.engine.cache import cached_schedule, configure, get_cache
-from repro.engine.scheduler import PipelineScheduler
+from repro.engine.cache import configure, get_cache
+from repro.engine.scheduler import PipelineScheduler, schedule_on
 from repro.engine.sweep import run_sweep
 from repro.kernels.loops import LOOP_NAMES, build_loop
 from repro.machine.microarch import A64FX, SKYLAKE_6140
@@ -62,14 +62,14 @@ def fresh_cache():
 @pytest.mark.parametrize("loop,tc", POINTS, ids=[f"{l}-{t}" for l, t in POINTS])
 class TestGoldenEquivalence:
     def test_fresh_event_driven(self, loop, tc):
-        """Event core + extrapolation vs the seed per-cycle scan."""
+        """One lane with extrapolation vs the seed per-cycle scan."""
         march, stream = _march_for(tc), _stream_for(loop, tc)
         ref = ReferenceScheduler(march).steady_state(stream)
         res = PipelineScheduler(march).steady_state(stream)
         assert_results_match(res, ref)
 
     def test_extrapolation_off(self, loop, tc):
-        """The pure event core (no period skipping) also matches."""
+        """A lane without period skipping also matches."""
         march, stream = _march_for(tc), _stream_for(loop, tc)
         ref = ReferenceScheduler(march).steady_state(stream)
         res = PipelineScheduler(
@@ -80,8 +80,8 @@ class TestGoldenEquivalence:
         """Cold fill and warm hit both match the seed."""
         march, stream = _march_for(tc), _stream_for(loop, tc)
         ref = ReferenceScheduler(march).steady_state(stream)
-        assert_results_match(cached_schedule(march, stream), ref)  # miss
-        assert_results_match(cached_schedule(march, stream), ref)  # hit
+        assert_results_match(schedule_on(march, stream), ref)  # miss
+        assert_results_match(schedule_on(march, stream), ref)  # hit
 
     def test_counter_payload_matches_seed(self, loop, tc):
         """pipeline.* counters: fresh fast path, cached hit and the seed
@@ -91,9 +91,9 @@ class TestGoldenEquivalence:
             ReferenceScheduler(march).steady_state(stream)
         with ProfileScope("fast") as fast_counters:
             PipelineScheduler(march).steady_state(stream)
-        cached_schedule(march, stream)  # prime
+        schedule_on(march, stream)  # prime
         with ProfileScope("hit") as hit_counters:
-            cached_schedule(march, stream)
+            schedule_on(march, stream)
         expected = ref_counters.as_dict()
         assert fast_counters.as_dict() == pytest.approx(expected, rel=RTOL)
         hit_pipeline = {
@@ -142,9 +142,9 @@ class TestCounterIdentityOnFastPaths:
         with ProfileScope("fresh") as fresh:
             PipelineScheduler(march).steady_state(stream)
         self._assert_identity(fresh)
-        cached_schedule(march, stream)
+        schedule_on(march, stream)
         with ProfileScope("hit") as hit:
-            cached_schedule(march, stream)
+            schedule_on(march, stream)
         self._assert_identity(hit)
 
     def test_parallel_sweep_totals(self):

@@ -5,10 +5,8 @@ import pytest
 from repro.compilers.cache import configure_compile_cache, get_compile_cache
 from repro.engine.cache import configure, get_cache
 from repro.engine.sweep import (
-    BATCH_MIN_POINTS,
     PoolDowngradeWarning,
     SweepPoint,
-    batch_min_points,
     last_effective_mode,
     map_schedules,
     run_sweep,
@@ -156,7 +154,7 @@ class TestMachineAxis:
 
 
 def _mixed_grid():
-    """An engine+ecm grid large enough to route through the batch."""
+    """A small engine+ecm grid over two toolchains and two windows."""
     return [
         SweepPoint(loop, tc, window=win, tier=tier)
         for loop in ("simple", "gather", "exp")
@@ -206,36 +204,7 @@ class TestProcessSweep:
 
 
 class TestBatchRouting:
-    def test_default_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_MIN_POINTS", raising=False)
-        assert batch_min_points() == BATCH_MIN_POINTS
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_MIN_POINTS", "2")
-        assert batch_min_points() == 2
-        # a two-point sweep now routes through the batch: the compile
-        # cache (only the batched path consults it) sees the points
-        run_sweep([("simple", "fujitsu"), ("gather", "fujitsu")])
-        assert get_compile_cache().stats()["misses"] == 2.0
-
-    def test_large_override_keeps_per_point(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_MIN_POINTS", "1000")
-        run_sweep(_mixed_grid())
-        assert get_compile_cache().stats()["misses"] == 0.0
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
-    def test_invalid_env_value_raises(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_BATCH_MIN_POINTS", raw)
-        with pytest.raises(ValueError, match="REPRO_BATCH_MIN_POINTS"):
-            run_sweep([("simple", "fujitsu")] * 4)
-
-    def test_kill_switch_keeps_per_point(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SCHEDULE", "off")
-        rows = run_sweep(_mixed_grid())
-        assert get_compile_cache().stats()["misses"] == 0.0
-        monkeypatch.delenv("REPRO_BATCH_SCHEDULE")
-        configure()
-        assert run_sweep(_mixed_grid()) == rows
+    """``run_sweep`` batches every sweep unless ``batch=False``."""
 
     def test_batch_true_forces_small_sweeps(self):
         points = [("simple", "fujitsu"), ("gather", "intel")]
