@@ -36,13 +36,14 @@ Commands
     Fig. 1/2 kernel set and write ``BENCH_engine.json``; the full run
     exits non-zero if equivalence or a speedup floor regresses (see
     docs/PERFORMANCE.md).
-``serve [--stdin] [--host H] [--port N] [--batch-window MS] [--max-batch N] [--workers N]``
+``serve [--stdin] [--host H] [--port N] [--max-batch N] [--workers N]``
     Run the persistent prediction server: JSON requests over a local
     socket (default; binds 127.0.0.1 and prints the address) or
     stdin/stdout lines (``--stdin``), answered with versioned
     ``repro.serve/1`` responses.  Concurrent requests coalesce into
-    micro-batches over the shared schedule/compile caches; identical
-    in-flight requests deduplicate (see docs/SERVING.md).
+    micro-batches over the shared schedule/compile caches (a batch is
+    whatever is pending when the previous one finishes; no timer);
+    identical in-flight requests deduplicate (see docs/SERVING.md).
 ``serve-bench [--quick] [--out PATH]``
     Measure serve throughput against a no-reuse one-request-at-a-time
     baseline at several concurrency levels and write
@@ -302,15 +303,14 @@ def _cmd_bench(args: list[str]) -> int:
 def _parse_serve_flags(args: list[str]) -> dict:
     """Parse ``serve`` flags -> option dict (raises ValueError)."""
     opts: dict = {"stdin": False, "host": "127.0.0.1", "port": 0,
-                  "batch_window_ms": 2.0, "max_batch": 64, "workers": None}
+                  "max_batch": 64, "workers": None}
     i = 0
     while i < len(args):
         a = args[i]
         if a == "--stdin":
             opts["stdin"] = True
             i += 1
-        elif a in ("--host", "--port", "--batch-window", "--max-batch",
-                   "--workers"):
+        elif a in ("--host", "--port", "--max-batch", "--workers"):
             if i + 1 >= len(args):
                 raise ValueError(f"{a} expects a value")
             value = args[i + 1]
@@ -319,10 +319,6 @@ def _parse_serve_flags(args: list[str]) -> dict:
                     opts["host"] = value
                 elif a == "--port":
                     opts["port"] = int(value)
-                elif a == "--batch-window":
-                    opts["batch_window_ms"] = float(value)
-                    if opts["batch_window_ms"] < 0:
-                        raise ValueError
                 else:
                     opts["max_batch" if a == "--max-batch"
                          else "workers"] = int(value)
@@ -345,14 +341,10 @@ def _cmd_serve(args: list[str]) -> int:
     except ValueError as exc:
         print(f"serve failed: {exc}")
         print("usage: python -m repro serve [--stdin] [--host H] "
-              "[--port N] [--batch-window MS] [--max-batch N] "
-              "[--workers N]")
+              "[--port N] [--max-batch N] [--workers N]")
         return 1
-    server = PredictionServer(
-        batch_window=opts["batch_window_ms"] / 1e3,
-        max_batch=opts["max_batch"],
-        workers=opts["workers"],
-    )
+    server = PredictionServer(max_batch=opts["max_batch"],
+                              workers=opts["workers"])
     with server:
         if opts["stdin"]:
             return serve_stdio(server)

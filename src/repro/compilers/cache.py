@@ -26,6 +26,14 @@ re-emits its counters.  Compile observers (:mod:`repro.validate`) ran
 when the entry was created; like schedule-cache hits, replays are not
 re-observed.
 
+Catalog kernels have a warm path that skips the IR as well:
+:func:`compile_kernel` remembers the key derived the first time it
+compiles a kernel, keyed on (kernel name, ``n``, toolchain
+fingerprint, march fingerprint).  :func:`~repro.kernels.catalog.build_kernel`
+is deterministic in ``(name, n)``, so a later call looks the key up
+directly and builds and hashes the loop only when the entry is not
+resident.  The serve tier compiles through it.
+
 Hit/miss statistics live alongside the schedule cache's
 (``python -m repro cache show`` prints both); ``REPRO_COMPILE_CACHE=off``
 disables the layer the same way ``REPRO_SCHEDULE_CACHE`` does for
@@ -39,6 +47,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import replace
+from typing import Callable
 
 from repro.compilers.codegen import CompiledLoop, compile_loop
 from repro.compilers.ir import Loop
@@ -49,6 +58,7 @@ __all__ = [
     "CompileCache",
     "cached_compile",
     "compile_cache_enabled",
+    "compile_kernel",
     "compile_key",
     "configure_compile_cache",
     "get_compile_cache",
@@ -200,6 +210,21 @@ def compile_cache_enabled() -> bool:
     )
 
 
+def _compile_through(cache: CompileCache, key: tuple[str, str, str],
+                     build: Callable[[], Loop], toolchain: Toolchain,
+                     march: Microarch) -> tuple[CompiledLoop, bool]:
+    """One lookup of *key*; on a miss, compile ``build()`` and store it.
+
+    Returns the compilation and whether it was resident (a hit).
+    """
+    entry = cache.lookup(key)
+    if entry is not None:
+        return replace(entry), True
+    entry = compile_loop(build(), toolchain, march)
+    cache.store(key, entry)
+    return entry, False
+
+
 def cached_compile(loop: Loop, toolchain: Toolchain,
                    march: Microarch) -> CompiledLoop:
     """:func:`compile_loop` through the content-addressed cache.
@@ -211,11 +236,39 @@ def cached_compile(loop: Loop, toolchain: Toolchain,
     """
     if not compile_cache_enabled():
         return compile_loop(loop, toolchain, march)
-    cache = get_compile_cache()
     key = compile_key(loop, toolchain, march)
-    entry = cache.lookup(key)
-    if entry is None:
-        entry = compile_loop(loop, toolchain, march)
-        cache.store(key, entry)
-        return entry
-    return replace(entry)
+    return _compile_through(get_compile_cache(), key, lambda: loop,
+                            toolchain, march)[0]
+
+
+#: compile keys derived for catalog kernels, keyed on (kernel name, n,
+#: toolchain fingerprint, march fingerprint); one entry per combination
+#: ever compiled through :func:`compile_kernel`
+_KERNEL_KEYS: dict[tuple, tuple[str, str, str]] = {}
+
+
+def compile_kernel(name: str, toolchain: Toolchain, march: Microarch,
+                   n: int | None = None) -> tuple[CompiledLoop, bool]:
+    """``cached_compile(build_kernel(name, n), toolchain, march)``,
+    plus whether the compilation was resident before the call.
+
+    A warm call finds the remembered compile key and neither builds nor
+    hashes the loop IR.  Cache statistics move exactly as for
+    :func:`cached_compile`: one lookup per call, a hit or a miss.  With
+    ``REPRO_COMPILE_CACHE=off`` the loop is built and compiled fresh.
+    """
+    from repro.kernels.catalog import build_kernel
+
+    if not compile_cache_enabled():
+        return compile_loop(build_kernel(name, n), toolchain, march), False
+    memo = (name, n, toolchain_fingerprint(toolchain),
+            _pinned_fingerprint(march))
+    key = _KERNEL_KEYS.get(memo)
+    if key is None:
+        loop = build_kernel(name, n)
+        key = _KERNEL_KEYS.setdefault(memo,
+                                      compile_key(loop, toolchain, march))
+        return _compile_through(get_compile_cache(), key, lambda: loop,
+                                toolchain, march)
+    return _compile_through(get_compile_cache(), key,
+                            lambda: build_kernel(name, n), toolchain, march)

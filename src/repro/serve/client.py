@@ -63,7 +63,14 @@ class ServeClient:
         return self.request({"op": "shutdown"})
 
     def close(self) -> None:
-        """Close the connection (the daemon keeps serving others)."""
+        """Close the connection (the daemon keeps serving others).
+
+        The line files hold references to the socket, so they are
+        closed too; otherwise the descriptor stays open and the
+        daemon's handler never sees end-of-stream.
+        """
+        self._rf.close()
+        self._wf.close()
         self._sock.close()
 
     def __enter__(self) -> "ServeClient":

@@ -4,25 +4,23 @@ The serve tier's throughput comes from executing *batches* — the SoA
 scheduling engine and the vectorized ECM tier amortize planning and
 table construction across lanes, and cross-request deduplication only
 helps when identical requests are in flight together.  A
-:class:`MicroBatcher` makes that happen for independent clients: the
-first pending request opens a **batching window** (default 2 ms), every
-request arriving inside the window joins the batch, and the batch
-executes when the window closes, :attr:`~MicroBatcher.max_batch`
-requests accumulate, or the queue goes quiet — whichever comes first.
-An idle server therefore answers a lone request with at most one
-window of added latency, while a loaded server executes ever larger
-batches at near-constant per-batch cost.
+:class:`MicroBatcher` makes that happen for independent clients by
+**group commit**: the moment the drain thread is free it takes every
+pending request, up to :attr:`~MicroBatcher.max_batch`, as one batch.
+Requests that arrive while a batch executes queue up and form the next
+batch.  No timer is involved: an idle server dispatches a lone request
+at once, while a loaded server executes ever larger batches at
+near-constant per-batch cost.
 
-``max_batch=1`` (or a zero window) degenerates to strict
-one-request-at-a-time execution — the serve benchmark's naive baseline
-uses exactly that, so the measured speedup isolates batching + shared
-caches rather than transport differences.
+``max_batch=1`` degenerates to strict one-request-at-a-time execution
+— the serve benchmark's naive baseline uses exactly that, so the
+measured speedup isolates batching + shared caches rather than
+transport differences.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Sequence
@@ -41,13 +39,10 @@ class MicroBatcher:
     """
 
     def __init__(self, execute: Callable[[list], Sequence], *,
-                 batch_window: float = 0.002, max_batch: int = 64) -> None:
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
+                 max_batch: int = 64) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._execute = execute
-        self.batch_window = batch_window
         self.max_batch = max_batch
         self._pending: deque[tuple[object, Future]] = deque()
         self._cond = threading.Condition()
@@ -103,20 +98,8 @@ class MicroBatcher:
                 self._cond.wait()
             if not self._pending:
                 return None  # stopped with nothing left
-            batch = [self._pending.popleft()]
-            deadline = time.monotonic() + self.batch_window
-            while len(batch) < self.max_batch:
-                if self._pending:
-                    batch.append(self._pending.popleft())
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._running:
-                    break
-                self._cond.wait(remaining)
-                if not self._pending:
-                    # window expired (or quiet period): run what we have
-                    break
-            return batch
+            take = min(len(self._pending), self.max_batch)
+            return [self._pending.popleft() for _ in range(take)]
 
     def _drain(self) -> None:
         while True:

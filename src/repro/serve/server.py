@@ -6,7 +6,8 @@ one-shot CLIs: it keeps the process-wide schedule cache
 (:mod:`repro.compilers.cache`) and ECM memos warm across requests, and
 coalesces concurrent requests through a
 :class:`~repro.serve.queue.MicroBatcher` so they execute as *one*
-batch:
+batch (whatever is pending when the previous batch finishes; there is
+no batching timer):
 
 * identical requests (same content fingerprint,
   :attr:`~repro.serve.protocol.PredictRequest.key`) **deduplicate** —
@@ -22,6 +23,11 @@ batch:
   whether the request coalesced onto an identical in-flight request
   (``deduped``), and how many requests its micro-batch carried
   (``batched_with``).
+
+Warm path: each (kernel, toolchain) compiles through
+:func:`repro.compilers.cache.compile_kernel`, which finds a warm
+compilation by its remembered compile key, so a repeated question
+neither rebuilds nor re-hashes the kernel's loop IR.
 
 Bit-exactness: the batched paths carry the engine's equivalence
 contract, so a served response is float-for-float identical to calling
@@ -147,11 +153,12 @@ class _Unique:
 class PredictionServer:
     """Micro-batching prediction daemon over the process-wide caches.
 
-    ``batch_window`` (seconds) and ``max_batch`` tune the admission
-    queue; ``workers > 1`` shards engine-tier batch simulation across a
-    process pool (probed at :meth:`start`); ``naive=True`` degenerates
-    to one-request-at-a-time execution with no cross-request reuse —
-    the serve benchmark's baseline.
+    ``max_batch`` caps the admission queue's micro-batches (a batch is
+    whatever is pending when the drain thread is free); ``workers > 1``
+    shards engine-tier batch simulation across a process pool (probed
+    at :meth:`start`); ``naive=True`` degenerates to
+    one-request-at-a-time execution with no cross-request reuse — the
+    serve benchmark's baseline.
 
     Use as a context manager, or :meth:`start`/:meth:`stop` explicitly.
     In-process clients call :meth:`request` (synchronous) or
@@ -159,18 +166,13 @@ class PredictionServer:
     :class:`TcpFrontend` / :func:`serve_stdio`.
     """
 
-    def __init__(self, *, batch_window: float = 0.002,
-                 max_batch: int = 64, workers: int | None = None,
+    def __init__(self, *, max_batch: int = 64, workers: int | None = None,
                  naive: bool = False) -> None:
-        if naive:
-            batch_window, max_batch = 0.0, 1
         self.naive = naive
         self.workers = workers or 1
         self._pool_mode = "serial"
-        self._batcher = MicroBatcher(
-            self._execute_batch,
-            batch_window=batch_window, max_batch=max_batch,
-        )
+        self._batcher = MicroBatcher(self._execute_batch,
+                                     max_batch=1 if naive else max_batch)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -274,11 +276,7 @@ class PredictionServer:
                     for it in items]
 
     def _run_batched(self, items: list[PredictRequest]) -> list[dict]:
-        from repro.compilers.cache import (
-            cached_compile,
-            compile_key,
-            get_compile_cache,
-        )
+        from repro.compilers.cache import compile_kernel
         from repro.compilers.toolchains import get_toolchain
         from repro.ecm.batch import predict_batch
         from repro.engine.batch import schedule_batch
@@ -288,7 +286,6 @@ class PredictionServer:
             stream_fingerprint,
         )
         from repro.engine.shard import schedule_batch_sharded
-        from repro.kernels.catalog import build_kernel
         from repro.machine.microarch import A64FX, SKYLAKE_6140
         from repro.machine.systems import get_system
         from repro.perf.profile import default_system_for
@@ -300,10 +297,11 @@ class PredictionServer:
         uniques = [_Unique(items[idxs[0]], idxs)
                    for idxs in groups.values()]
 
-        # Phase 1: compile every unique combo (content-cached), taking
-        # the provenance peeks *before* any execution so "cache: hit"
+        # Phase 1: compile every unique combo (content-cached; a warm
+        # combo is found by its remembered key without rebuilding IR),
+        # recording residency *before* any execution so "cache: hit"
         # uniformly means "resident in this process before this batch".
-        scache, ccache = get_cache(), get_compile_cache()
+        scache = get_cache()
         compiled_of: dict[tuple[str, str], tuple] = {}
         for u in uniques:
             req = u.req
@@ -313,10 +311,8 @@ class PredictionServer:
                 if hit is None:
                     tc = get_toolchain(req.toolchain)
                     march = SKYLAKE_6140 if tc.target == "x86" else A64FX
-                    loop = build_kernel(req.kernel)
-                    resident = ccache.peek(compile_key(loop, tc, march))
-                    hit = (cached_compile(loop, tc, march), march, resident)
-                    compiled_of[combo] = hit
+                    compiled, resident = compile_kernel(req.kernel, tc, march)
+                    hit = compiled_of[combo] = (compiled, march, resident)
                 u.compiled, u.march, compile_resident = hit
                 if req.tier == "ecm":
                     u.system = get_system(
@@ -617,6 +613,10 @@ class TcpFrontend:
                 name="repro-serve-conn", daemon=True,
             )
             t.start()
+            # forget finished handlers so a long-lived daemon keeps one
+            # entry per *open* connection, not per connection ever made
+            self._conn_threads = [c for c in self._conn_threads
+                                  if c.is_alive()]
             self._conn_threads.append(t)
 
     def _handle(self, conn) -> None:

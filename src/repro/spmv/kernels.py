@@ -36,6 +36,8 @@ the prediction itself.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro._util import require_in, require_positive
@@ -74,8 +76,13 @@ DEFAULT_SPMV_ROWS = 1 << 21       # x vector: 16 MiB
 DEFAULT_STENCIL_POINTS = 1 << 24  # grids: 128 MiB per array
 
 
+@functools.lru_cache(maxsize=128)
 def _sampled(n: int, structured: bool) -> SparseMatrix:
-    """Row-length sample used for statistics at problem size *n*."""
+    """Row-length sample used for statistics at problem size *n*.
+
+    Memoized: the sample is a frozen, deterministic function of its
+    arguments, and generating it is the bulk of an SpMV kernel build.
+    """
     rows = min(n, SAMPLE_ROWS)
     return hpcg_like(rows) if structured else random_matrix(rows)
 

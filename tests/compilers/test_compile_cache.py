@@ -8,6 +8,7 @@ from repro.compilers.cache import (
     CompileCache,
     cached_compile,
     compile_cache_enabled,
+    compile_kernel,
     compile_key,
     configure_compile_cache,
     get_compile_cache,
@@ -117,6 +118,40 @@ class TestCacheObject:
         assert new is get_compile_cache()
         assert new is not old
         assert new.capacity == 8
+
+
+class TestCompileKernel:
+    def test_matches_cached_compile_and_counts_like_it(self):
+        tc = get_toolchain("arm")
+        cold, resident = compile_kernel("spmv_sell", tc, A64FX)
+        assert resident is False
+        warm, resident = compile_kernel("spmv_sell", tc, A64FX)
+        assert resident is True
+        assert warm == cold
+        assert warm is not cold  # private schedule slot, like a hit
+        stats = get_compile_cache().stats()
+        assert (stats["hits"], stats["misses"]) == (1.0, 1.0)
+        # the remembered key is the content key of the built loop
+        key = compile_key(build_kernel("spmv_sell"), tc, A64FX)
+        assert get_compile_cache().peek(key)
+        assert cached_compile(build_kernel("spmv_sell"), tc, A64FX) == cold
+
+    def test_n_is_part_of_the_key(self):
+        tc = get_toolchain("fujitsu")
+        small, _ = compile_kernel("stencil2d", tc, A64FX, n=1 << 12)
+        big, resident = compile_kernel("stencil2d", tc, A64FX)
+        assert resident is False
+        assert small != big
+
+    def test_off_compiles_fresh(self, monkeypatch):
+        tc = get_toolchain("gnu")
+        compile_kernel("simple", tc, A64FX)  # remember the key
+        monkeypatch.setenv("REPRO_COMPILE_CACHE", "off")
+        before = get_compile_cache().stats()
+        fresh, resident = compile_kernel("simple", tc, A64FX)
+        assert resident is False
+        assert fresh == compile_loop(build_kernel("simple"), tc, A64FX)
+        assert get_compile_cache().stats() == before
 
 
 class TestKillSwitch:

@@ -27,15 +27,17 @@ def fresh_state():
 
 
 def _submit_pair(server, doc_a, doc_b):
-    fa, _ = server.submit_line(json.dumps(doc_a))
-    fb, _ = server.submit_line(json.dumps(doc_b))
+    # holding the batcher's condition keeps the drain thread from taking
+    # a batch until both requests are pending: they share one batch
+    with server._batcher._cond:
+        fa, _ = server.submit_line(json.dumps(doc_a))
+        fb, _ = server.submit_line(json.dumps(doc_b))
     return fa.result(timeout=30), fb.result(timeout=30)
 
 
 class TestCrossRequestDedup:
     def test_identical_requests_one_execution(self):
-        # a wide batching window guarantees both land in one micro-batch
-        server = PredictionServer(batch_window=0.25)
+        server = PredictionServer()
         with server:
             ra, rb = _submit_pair(
                 server,
@@ -72,7 +74,7 @@ class TestCrossRequestDedup:
         assert serve["deduped"] == 1
 
     def test_distinct_requests_do_not_coalesce(self):
-        server = PredictionServer(batch_window=0.25)
+        server = PredictionServer()
         with server:
             ra, rb = _submit_pair(
                 server,
@@ -89,7 +91,7 @@ class TestCrossRequestDedup:
         assert get_cache().stats()["entries"] == 3
 
     def test_ecm_duplicates_share_one_compile(self):
-        server = PredictionServer(batch_window=0.25)
+        server = PredictionServer()
         with server:
             ra, rb = _submit_pair(
                 server,

@@ -10,7 +10,9 @@ import json
 
 import pytest
 
-from repro.compilers.cache import configure_compile_cache
+import repro.kernels.catalog as catalog
+from repro.compilers import cache as compile_cache_mod
+from repro.compilers.cache import configure_compile_cache, get_compile_cache
 from repro.compilers.codegen import compile_loop
 from repro.compilers.toolchains import TOOLCHAINS, get_toolchain
 from repro.engine.cache import configure
@@ -83,9 +85,12 @@ def _direct_row(req):
 class TestGolden:
     def test_catalog_served_equals_direct_including_replays(self):
         reqs = _catalog_requests()
-        with PredictionServer(batch_window=0.02) as server:
-            cold = [f.result(timeout=120) for f in
-                    [server.submit_line(json.dumps(r))[0] for r in reqs]]
+        with PredictionServer() as server:
+            # admit the cold pass while the drain thread is held, so it
+            # runs as full micro-batches with in-batch compile sharing
+            with server._batcher._cond:
+                futs = [server.submit_line(json.dumps(r))[0] for r in reqs]
+            cold = [f.result(timeout=120) for f in futs]
             warm = [f.result(timeout=120) for f in
                     [server.submit_line(json.dumps(r))[0] for r in reqs]]
 
@@ -126,3 +131,59 @@ class TestGolden:
         assert resp["result"]["cycles_per_element"] == \
             pred.cycles_per_element
         assert resp["result"]["bound"] == pred.bound
+
+
+class TestWarmReplay:
+    """A warm (kernel, toolchain) is resolved by its remembered compile
+    key: no IR rebuild, the same answer, one compile-cache hit."""
+
+    @staticmethod
+    def _pass(server, reqs):
+        with server._batcher._cond:
+            futs = [server.submit_line(json.dumps(r))[0] for r in reqs]
+        return [f.result(timeout=120) for f in futs]
+
+    def test_warm_replay_builds_no_kernel(self, monkeypatch):
+        # ECM tier: its "cache" label is the compile cache's residency
+        reqs = [{"id": i, "kernel": kernel, "toolchain": tc, "tier": "ecm"}
+                for i, (kernel, tc) in enumerate(
+                    (k, t) for k in ALL_KERNEL_NAMES for t in TOOLCHAINS)]
+        builds = []
+
+        def counting_build(name, n=None):
+            builds.append(name)
+            return build_kernel(name, n)
+
+        monkeypatch.setattr(catalog, "build_kernel", counting_build)
+        monkeypatch.setattr(compile_cache_mod, "_KERNEL_KEYS", {})
+        ccache = get_compile_cache()
+        with PredictionServer() as server:
+            # cold, no key known yet: build + hash, one miss per combo
+            cold = self._pass(server, reqs)
+            assert len(builds) == len(reqs)
+            assert ccache.stats()["misses"] == len(reqs)
+            assert ccache.stats()["hits"] == 0
+
+            # cold again with the keys remembered but nothing resident:
+            # still exactly one miss per combo, never counted twice
+            ccache = configure_compile_cache()
+            configure()
+            recold = self._pass(server, reqs)
+            assert len(builds) == 2 * len(reqs)
+            assert ccache.stats()["misses"] == len(reqs)
+            assert ccache.stats()["hits"] == 0
+
+            # warm: no kernel build at all, one hit per combo
+            del builds[:]
+            warm = self._pass(server, reqs)
+        assert builds == []
+        assert ccache.stats()["hits"] == len(reqs)
+        assert ccache.stats()["misses"] == len(reqs)
+
+        for c, r, w in zip(cold, recold, warm):
+            assert c["ok"], c.get("error")
+            assert json.dumps(c["result"]) == json.dumps(r["result"]) \
+                == json.dumps(w["result"])
+            assert c["provenance"]["cache"] == "miss"
+            assert r["provenance"]["cache"] == "miss"
+            assert w["provenance"]["cache"] == "hit"

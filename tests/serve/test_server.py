@@ -187,3 +187,18 @@ class TestTcpFrontend:
                     rb = b.request(_predict(id=2, window=8))
         assert ra["result"] == rb["result"]
         assert rb["provenance"]["cache"] == "hit"
+
+    def test_finished_connection_threads_are_dropped(self):
+        with PredictionServer() as server:
+            with TcpFrontend(server) as frontend:
+                for _ in range(40):
+                    with ServeClient(frontend.address) as client:
+                        assert client.ping()["ok"] is True
+                    # the handler exits once its client hangs up; wait
+                    # for every handler the accept loop has recorded
+                    for t in list(frontend._conn_threads):
+                        t.join(timeout=5)
+                # each accept forgets the finished handlers: at most the
+                # previous handler (not yet recorded when we joined) and
+                # the newest one remain, not one entry per connection
+                assert len(frontend._conn_threads) <= 2

@@ -83,8 +83,7 @@ class TestParseCommand:
         ["validate", "--no-bands", "--out", "report.json"],
         ["cache", "show", "--json"],
         ["serve", "--stdin"],
-        ["serve", "--port", "7080", "--batch-window", "2", "--max-batch",
-         "64", "--workers", "4"],
+        ["serve", "--port", "7080", "--max-batch", "64", "--workers", "4"],
         ["serve-bench", "--quick", "--out", "BENCH_serve.json"],
     ])
     def test_valid_invocations(self, argv):
@@ -108,7 +107,7 @@ class TestParseCommand:
         ["validate", "--frobnicate"],
         ["cache", "clear", "--json"],
         ["serve", "--port", "many"],
-        ["serve", "--batch-window", "-1"],
+        ["serve", "--max-batch", "0"],
         ["serve", "--workers", "0"],
         ["serve", "--frobnicate"],
         ["serve-bench", "--frobnicate"],
